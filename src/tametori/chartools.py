@@ -20,7 +20,6 @@ __all__ = [
     "MuExponent",
     "TameQuadChar",
     "TRIVIAL_CHAR",
-    "char_mul",
     "char_eval",
     "reduce_to_subfield",
     "legendre_kx",
@@ -63,10 +62,6 @@ class TameQuadChar:
 
 
 TRIVIAL_CHAR = TameQuadChar(1, 1)
-
-
-def char_mul(chi: TameQuadChar, psi: TameQuadChar) -> TameQuadChar:
-    return chi * psi
 
 
 def char_eval(chi: TameQuadChar, u: int, v: int) -> int:

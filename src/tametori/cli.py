@@ -22,17 +22,11 @@ from .identities import (
     sweep,
     verify_instance,
 )
-from .localfield import ExtensionParams, build_extension
-from .roots import RootClass, enumerate_orbits
+from .localfield import ExtensionModel, ExtensionParams, build_extension
+from .roots import enumerate_orbits
 from .tower import TowerShape, interval_subgroups, parse_selector, validate_shape
 
 __all__ = ["main"]
-
-_CLS_NAMES = {
-    RootClass.ASYMMETRIC: "asymmetric",
-    RootClass.SYMMETRIC_UNRAMIFIED: "symmetric-unramified",
-    RootClass.SYMMETRIC_RAMIFIED: "symmetric-ramified",
-}
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
@@ -45,7 +39,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
         print("\t".join("-" if row[c] is None else str(row[c]) for c in columns))
 
 
-def _build_model(args) -> "build_extension":
+def _build_model(args) -> ExtensionModel:
     return build_extension(ExtensionParams(args.q, args.e, args.f, args.w))
 
 
@@ -55,7 +49,7 @@ def cmd_classify(args) -> int:
         {
             "i": o.ij[0],
             "j": o.ij[1],
-            "class": _CLS_NAMES[o.cls],
+            "class": o.cls.value,
             "Q_alpha": o.Q_alpha,
             "q_pm": o.q_pm,
             "u_dim": u_dim(X, o),
@@ -92,7 +86,7 @@ def _report_rows(report: Report) -> list[dict]:
             "j": v.ij[1],
             "partner_i": v.partner_ij[0],
             "partner_j": v.partner_ij[1],
-            "class": _CLS_NAMES[v.cls],
+            "class": v.cls.value,
             "depth": v.depth,
             "lhs_unit": v.lhs.on_unit_gen,
             "lhs_pi": v.lhs.on_uniformizer,

@@ -39,7 +39,6 @@ __all__ = [
     "enumerate_orbits",
     "orbit_by_label",
     "orbit_with_rep",
-    "classify_by_stabilizers",
     "classify_by_criterion",
     "root_eval",
     "ord_contains",
@@ -184,22 +183,6 @@ def orbit_with_rep(X: ExtensionModel, orbit: RootOrbit, ij: tuple[int, int]) -> 
     if ij not in orbit.labels:
         raise KeyError(f"{ij} is not a label of orbit {orbit.ij}")
     return replace(orbit, rep=coset_element(X, *ij), ij=ij)
-
-
-def classify_by_stabilizers(X: ExtensionModel, orbit: RootOrbit) -> RootClass:
-    """Classification via the stabilizer route: compare alpha with -alpha and
-    measure the ramification of F_alpha over F_{+-alpha}."""
-    g = orbit.rep
-    stab, swap = _stabilizer_data(X, g)
-    if not swap:
-        return RootClass.ASYMMETRIC
-    e_alpha, _ = subfield_invariants(X, stab)
-    e_pm, _ = subfield_invariants(X, tuple(sorted(set(stab) | set(swap))))
-    return (
-        RootClass.SYMMETRIC_UNRAMIFIED
-        if e_alpha == e_pm
-        else RootClass.SYMMETRIC_RAMIFIED
-    )
 
 
 def classify_by_criterion(X: ExtensionModel, orbit: RootOrbit) -> RootClass:

@@ -11,7 +11,6 @@ from tametori.chartools import (
     MuExponent,
     TameQuadChar,
     char_eval,
-    char_mul,
     legendre_k1,
     legendre_kx,
     perm_sign,
@@ -32,7 +31,7 @@ def test_quad_char_validation_and_product():
     chi = TameQuadChar(-1, 1)
     psi = TameQuadChar(-1, -1)
     assert chi * psi == TameQuadChar(1, -1)
-    assert char_mul(chi, TRIVIAL_CHAR) == chi
+    assert chi * TRIVIAL_CHAR == chi
     assert chi * chi == TRIVIAL_CHAR
     with pytest.raises(ValueError):
         TameQuadChar(0, 1)

@@ -25,7 +25,7 @@ from tametori.identities import (
 )
 from tametori.localfield import ExtensionParams, build_extension
 from tametori.roots import RootClass, enumerate_orbits, orbit_by_label
-from tametori.tower import parse_selector
+from tametori.tower import enumerate_shapes, parse_selector
 
 from conftest import model, shape_from_bottoms, shape_t0
 
@@ -212,27 +212,25 @@ def test_failure_row_t0():
 
 
 def test_aggregate_equals_verdict_product():
-    """nu and the two epsilon totals factor exactly over primary orbits."""
-    from tametori.chartools import char_mul
-
-    for qefw, mdh, bottoms, levels in [
-        ((5, 2, 2, 0), (1, 4, 1), ["E"], (2,)),
-        ((3, 2, 2, 0), (2, 2, 1), ["E"], (1,)),
-        ((7, 2, 3, 0), (3, 2, 1), ["E", "3.0"], (1, 2)),
-    ]:
-        inst = make_instance(qefw, mdh, bottoms, levels)
-        report = verify_instance(inst)
-        lhs = TRIVIAL_CHAR
-        rhs = TRIVIAL_CHAR
-        for v in report.verdicts:
-            lhs = char_mul(lhs, v.lhs)
-            rhs = char_mul(rhs, v.rhs)
-        assert report.aggregate_lhs == lhs == nu_zeta_total(inst)
-        assert report.aggregate_rhs == rhs
-        total = char_mul(
-            epsilon_total(inst, Side.SPLIT), epsilon_total(inst, Side.GIVEN)
-        )
-        assert total == rhs
+    """The aggregates of a report are the verdict products; nu and the two
+    epsilon totals, computed orbit by orbit on their own, factor the same way
+    on every instance of a small grid."""
+    grid = GridSpec((3, 5, 7), n_max=6, w_extra=1, t_max=2, a_max=4)
+    checked = nontrivial = 0
+    for params in grid_extension_params(grid):
+        X = build_extension(params)
+        for shape in enumerate_shapes(X, grid.t_max, grid.a_max):
+            for A in grid_algebras(X.n):
+                inst = Instance(X, A, shape)
+                report = verify_instance(inst)
+                assert report.aggregate_lhs == nu_zeta_total(inst)
+                assert report.aggregate_rhs == epsilon_total(
+                    inst, Side.SPLIT
+                ) * epsilon_total(inst, Side.GIVEN)
+                checked += 1
+                nontrivial += report.aggregate_lhs != TRIVIAL_CHAR
+    assert checked == sweep(grid).instances
+    assert 0 < nontrivial < checked
 
 
 def test_epsilon_gate_opens_per_side(monkeypatch):
