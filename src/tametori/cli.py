@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
+from . import identities
 from .csa import CsaParams
 from .errors import TametoriError
 from .finmod import u_dim
-from .identities import (
-    GridSpec,
-    Instance,
-    Report,
-    sweep,
-    verify_instance,
-)
+from .identities import GridSpec, Instance, Report, verify_instance
 from .localfield import ExtensionModel, ExtensionParams, build_extension
 from .roots import enumerate_orbits
 from .tower import TowerShape, interval_subgroups, parse_selector, validate_shape
@@ -152,8 +148,8 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str) -> GridSpec:
-    """Flat `key = value` file; unknown keys and malformed values are usage
-    errors."""
+    """Flat `key = value` file; unknown or repeated keys and malformed values
+    are usage errors."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -164,6 +160,8 @@ def load_config(path: str) -> GridSpec:
             key, val = key.strip(), val.strip()
             if not sep or key not in _CONFIG_KEYS or not val:
                 raise ValueError(f"{path}:{lineno}: bad config line {raw.strip()!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             values[key] = val
     try:
         q_list = tuple(int(s) for s in values["q_list"].split(","))
@@ -207,8 +205,11 @@ _FAILURE_COLUMNS = [
 
 
 def cmd_sweep(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs {args.jobs} outside 1..{cpus} (the CPU count)")
     grid = load_config(args.config)
-    summary = sweep(grid, jobs=args.jobs)
+    summary = identities.sweep(grid, jobs=args.jobs)
     stats = {
         "params": summary.params_count,
         "instances": summary.instances,
@@ -263,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="verify every instance of a config grid")
     p_sw.add_argument("--config", required=True, help="flat key=value grid file")
-    p_sw.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_sw.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, 1..CPU count"
+    )
     add_format_arg(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
     return parser

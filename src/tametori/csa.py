@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DimensionMismatch, NotASubgroup, NotTwoTorsion
+from .errors import DimensionMismatch, InvariantViolation, NotASubgroup, NotTwoTorsion
 from .localfield import ExtensionModel, subfield_invariants
 
 __all__ = [
@@ -48,7 +48,9 @@ class CsaParams:
         return self.m * self.d
 
 
+@lru_cache(maxsize=None)
 def split_algebra(n: int) -> CsaParams:
+    """The split form M_n(F), one shared instance per n."""
     return CsaParams(n, 1, 0)
 
 
@@ -81,8 +83,8 @@ def order_invariants(X: ExtensionModel, A: CsaParams) -> OrderInvariants:
     s = gcd(f, m)
     e_F = d * r
     e_E = e_F // e
-    assert e_E == d // gcd(d, e) == f // gcd(m, f)
-    assert r == m // gcd(m, f)
+    if not e_E == d // gcd(d, e) == f // gcd(m, f) or r != m // gcd(m, f):
+        raise InvariantViolation(f"order invariants disagree for {A} in {X.params}")
     return OrderInvariants(r=r, s=s, e_F=e_F, e_E=e_E)
 
 
@@ -103,7 +105,8 @@ def centralizer_invariants(
     e_k, f_k = subfield_invariants(X, H)
     deg = e_k * f_k
     over = X.n // deg  # [E : E_k]
-    assert deg * over == X.n
+    if deg * over != X.n:
+        raise InvariantViolation(f"[E_k : F]={deg} does not divide n={X.n}")
     f_rel = X.f // f_k  # f(E/E_k)
     m_k = gcd(A.m, over)
     d_k = A.d // gcd(A.d, deg)
@@ -112,13 +115,17 @@ def centralizer_invariants(
 
 def brauer_torsion_sign(A: CsaParams, n_alpha: int) -> int:
     """Sign of the 2-torsion class n_alpha * [A]: +1 if trivial, -1 if the
-    nontrivial class; NotTwoTorsion if n_alpha * [A] has larger order."""
-    cls = n_alpha * brauer_class(A)
-    cls -= int(cls)  # reduce mod 1
-    if cls == 0:
+    nontrivial class; NotTwoTorsion if n_alpha * [A] has larger order.
+
+    n_alpha * [A] = n_alpha * h / d mod 1, so only the residue of n_alpha * h
+    mod d matters: 0 is the trivial class and d / 2 the nontrivial 2-torsion
+    one."""
+    rem = (n_alpha * A.h) % A.d
+    if rem == 0:
         return 1
-    if cls == Fraction(1, 2):
+    if 2 * rem == A.d:
         return -1
+    cls = Fraction(rem, A.d)  # reduced mod 1
     raise NotTwoTorsion(f"{n_alpha} * [{A.h}/{A.d}] = {cls} is not 2-torsion")
 
 

@@ -64,3 +64,7 @@ class NotNormOne(TametoriError):
 
 class IotaIncoherence(TametoriError):
     """The transfer sign iota contradicts a module isomorphism at depth >= 0."""
+
+
+class InvariantViolation(TametoriError):
+    """Derived data contradicts an identity it satisfies by construction."""

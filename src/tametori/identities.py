@@ -28,7 +28,7 @@ from math import gcd, prod
 from . import chartools, finmod, tower
 from .chartools import TRIVIAL_CHAR, TameQuadChar
 from .csa import CsaParams, brauer_torsion_sign, split_algebra
-from .errors import DimensionMismatch, IotaIncoherence, NotSymmetric
+from .errors import DimensionMismatch, InvariantViolation, IotaIncoherence, NotSymmetric
 from .localfield import (
     ExtensionModel,
     ExtensionParams,
@@ -206,9 +206,10 @@ def zeta_restricted(inst: Instance, orbit: RootOrbit) -> TameQuadChar:
                 f"iota={sign} on isomorphic symmetric unramified orbit {orbit.ij}"
             )
         return TameQuadChar(1, sign)
-    assert orbit.cls is RootClass.SYMMETRIC_UNRAMIFIED, (
-        "symmetric ramified module classes must agree across sides"
-    )
+    if orbit.cls is not RootClass.SYMMETRIC_UNRAMIFIED:
+        raise InvariantViolation(
+            f"symmetric ramified orbit {orbit.ij}: module classes differ across sides"
+        )
     x_unit = root_eval(X, orbit, 1, 0)
     x_pi = root_eval(X, orbit, 0, 1)
     return TameQuadChar(

@@ -15,10 +15,11 @@ materialized, so all downstream character values are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import NotASubgroup, SearchExhausted, TameViolation
+from .errors import InvariantViolation, NotASubgroup, SearchExhausted, TameViolation
 
 __all__ = [
     "ExtensionParams",
@@ -54,9 +55,12 @@ def radical_prime(q: int) -> int:
     raise ValueError(f"q={q} is not a prime power")
 
 
-@dataclass(frozen=True, order=True)
-class GaloisElement:
-    """g(pi_E) = zeta^a * pi_E and g = (x -> x^{q^c}) on mu_L."""
+class GaloisElement(NamedTuple):
+    """g(pi_E) = zeta^a * pi_E and g = (x -> x^{q^c}) on mu_L.
+
+    A named tuple, so hashing, equality and the (a, c) order run in C: every
+    per-orbit cache key contains one.
+    """
 
     a: int
     c: int
@@ -95,6 +99,13 @@ class ExtensionModel:
     gamma_E: tuple[GaloisElement, ...]
     qpow: tuple[int, ...]
     spow: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.params))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -204,7 +215,8 @@ def enumerate_group(X: ExtensionModel) -> tuple[GaloisElement, ...]:
         # e | M and e | rhs, so the solution set is rhs/e + (M/e) Z
         a0 = (rhs // X.e) % step
         out.extend(GaloisElement((a0 + k * step) % X.M, c) for k in range(X.e))
-    assert len(out) == X.e * X.f_L
+    if len(out) != X.e * X.f_L:
+        raise InvariantViolation(f"{len(out)} elements, not e * f_L, for {X.params}")
     return tuple(sorted(out))
 
 
@@ -262,7 +274,8 @@ def interval_subgroups(X: ExtensionModel) -> tuple[tuple[GaloisElement, ...], ..
     group = enumerate_group(X)
     base_gens = (GaloisElement(0, X.f % X.f_L),)
     base = subgroup_closure(X, base_gens)
-    assert base == X.gamma_E
+    if base != X.gamma_E:
+        raise NotASubgroup(f"the closure of {base_gens!r} is not Gal(L/E)")
     found = {base: base_gens}
     queue = [base]
     while queue:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .chartools import MuExponent
 from .csa import CsaParams, order_invariants
-from .errors import CriterionViolation
+from .errors import CriterionViolation, InvariantViolation
 from .localfield import (
     ExtensionModel,
     GaloisElement,
@@ -93,7 +92,8 @@ def left_coset_label(X: ExtensionModel, g: GaloisElement) -> tuple[int, int]:
     j = g.c % X.f
     t = (g.a - X.phi.a * X.spow[j]) % X.M
     step = X.M // X.e
-    assert t % step == 0, f"{g} violates the uniformizer constraint"
+    if t % step:
+        raise InvariantViolation(f"{g} violates the uniformizer constraint")
     return (t // step) % X.e, j
 
 
@@ -127,7 +127,8 @@ def _build_orbit(X: ExtensionModel, labels: tuple[tuple[int, int], ...]) -> Root
     g = coset_element(X, *ij)
     partner = double_coset_labels(X, inverse(X, g))[0]
     stab, swap = _stabilizer_data(X, g)
-    assert bool(swap) == (partner == ij)
+    if bool(swap) != (partner == ij):
+        raise InvariantViolation(f"orbit {ij}: swap set and partner {partner} disagree")
     e_alpha, f_alpha = subfield_invariants(X, stab)
     fpm = q_pm = n_pm = None
     if swap:
@@ -213,11 +214,11 @@ def root_eval(X: ExtensionModel, orbit: RootOrbit, u: int, v: int) -> MuExponent
 
 
 def ord_contains(X: ExtensionModel, A: CsaParams, orbit: RootOrbit, r) -> bool:
-    """Whether depth r sits in the order-theoretic support of alpha for the
-    E-pure principal order of A: r * e(A/O_F) must be an integer j' with
-    j == h j' (mod f_0)."""
+    """Whether depth r (an int or a Fraction) sits in the order-theoretic
+    support of alpha for the E-pure principal order of A: r * e(A/O_F) must be
+    an integer j' with j == h j' (mod f_0)."""
     inv = order_invariants(X, A)
-    jp = Fraction(r) * inv.e_F
-    if jp.denominator != 1:
+    num = r.numerator * inv.e_F
+    if num % r.denominator:
         return False
-    return (orbit.j - A.h * int(jp)) % inv.e_E == 0
+    return (orbit.j - A.h * (num // r.denominator)) % inv.e_E == 0

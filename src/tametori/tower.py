@@ -13,7 +13,7 @@ finite-module criteria.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -21,6 +21,7 @@ from itertools import combinations
 from .csa import CsaParams, centralizer_invariants, order_invariants
 from .errors import (
     IndexOutOfRange,
+    InvariantViolation,
     NonIncreasingLevels,
     NonStrictTower,
     NotASubgroup,
@@ -51,10 +52,20 @@ Subgroup = tuple[GaloisElement, ...]
 
 @dataclass(frozen=True)
 class TowerShape:
-    """subgroups = (H_0, ..., H_t) with H_t = Gal(L/F); levels = (a_0, ..., a_{t-1})."""
+    """subgroups = (H_0, ..., H_t) with H_t = Gal(L/F); levels = (a_0, ..., a_{t-1}).
+
+    The hash is computed once: the shape keys the per-orbit caches.
+    """
 
     subgroups: tuple[Subgroup, ...]
     levels: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.subgroups, self.levels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def t(self) -> int:
@@ -115,8 +126,10 @@ def enumerate_shapes(
     """
     subs = interval_subgroups(X)
     full = subs[-1]
-    assert len(full) == X.e * X.f_L
+    if len(full) != X.e * X.f_L:
+        raise NotASubgroup("top of the interval lattice must be all of Gal(L/F)")
     shapes = [TowerShape(subgroups=(full,), levels=())]
+    validate_shape(X, shapes[0])
     bottoms = [H for H in subs if inertia_order(X, H) == 1]
     for t in range(1, max_t + 1):
         chains: list[tuple[Subgroup, ...]] = []
@@ -133,10 +146,15 @@ def enumerate_shapes(
             if set(H0) < set(full):
                 grow((H0,))
         for chain in chains:
-            for levels in combinations(range(1, max_level + 1), t):
-                shapes.append(TowerShape(subgroups=chain, levels=levels))
-    for shape in shapes:
-        validate_shape(X, shape)
+            chain_shapes = [
+                TowerShape(subgroups=chain, levels=levels)
+                for levels in combinations(range(1, max_level + 1), t)
+            ]
+            # the chain checks do not read the levels, and combinations
+            # yields positive, strictly increasing ones: one check per chain
+            if chain_shapes:
+                validate_shape(X, chain_shapes[0])
+            shapes.extend(chain_shapes)
     return tuple(shapes)
 
 
@@ -167,7 +185,8 @@ def jump_data(X: ExtensionModel, A: CsaParams, shape: TowerShape, k: int) -> Jum
     a_k = shape.levels[k]
     _, _, e_next = centralizer_invariants(X, A, shape.subgroups[k + 1])
     e_E = order_invariants(X, A).e_E
-    assert e_E % e_next == 0
+    if e_E % e_next:
+        raise InvariantViolation(f"e(A_{k + 1}/O_E)={e_next} does not divide e_E={e_E}")
     return JumpData(
         k=k,
         level=a_k,

@@ -217,6 +217,7 @@ def test_criterion_5_classification_dual():
     assert not bad, bad[:3]
 
 
+@pytest.mark.slow
 def test_criterion_6_sign_symbol_identity():
     # part 1: the closed forms agree on every residue field arising in the grid
     qset = set()

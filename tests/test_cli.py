@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -216,9 +217,36 @@ def test_sweep_jobs_matches_sequential(capsys, tmp_path):
     path = write_config(
         tmp_path, "q_list = 3,5\nn_max = 3\nt_max = 1\na_max = 2\n"
     )
+    jobs = str(min(3, os.cpu_count() or 1))  # --jobs may not exceed the CPU count
     _, seq, _ = run(capsys, "sweep", "--config", path)
-    _, par, _ = run(capsys, "sweep", "--config", path, "--jobs", "3")
+    _, par, _ = run(capsys, "sweep", "--config", path, "--jobs", jobs)
     assert seq == par
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail the test if the CLI gets as far as sweeping (or starting workers)."""
+    import tametori.identities as ident
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep ran on invalid input")
+
+    monkeypatch.setattr(ident, "sweep", refuse)
+
+
+def test_duplicate_config_key_exits_2(capsys, tmp_path, no_sweep):
+    path = write_config(tmp_path, "q_list = 3\nn_max = 2\nn_max = 4\n")
+    code, out, err = run(capsys, "sweep", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "duplicate config key 'n_max'" in err
+
+
+@pytest.mark.parametrize("jobs", [0, -1, -8, (os.cpu_count() or 1) + 1])
+def test_sweep_jobs_out_of_range_exits_2(capsys, tmp_path, no_sweep, jobs):
+    path = write_config(tmp_path, "q_list = 3\nn_max = 2\n")
+    code, out, err = run(capsys, "sweep", "--config", path, "--jobs", str(jobs))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"--jobs {jobs}" in err
 
 
 def test_sweep_json_summary(capsys, tmp_path):

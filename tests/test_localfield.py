@@ -243,3 +243,34 @@ def test_search_exhausted_is_importable():
     # the cap is generous enough that tame parameters never hit it; the error
     # type still must exist for callers
     assert issubclass(SearchExhausted, Exception)
+
+
+def test_galois_element_order_and_repr():
+    g10, g11, g20 = GaloisElement(1, 0), GaloisElement(1, 1), GaloisElement(2, 0)
+    elems = [g20, g11, g10]
+    assert sorted(elems) == [g10, g11, g20]
+    assert sorted(elems) == sorted(elems, key=lambda g: (g.a, g.c))
+    assert repr(GaloisElement(1, 0)) == "GaloisElement(a=1, c=0)"
+    assert GaloisElement(a=3, c=1) == GaloisElement(3, 1)
+
+
+def test_rebuilt_model_equals_and_hashes_like_the_cached_one():
+    """The model's hash is hash(params), computed once; a model rebuilt after
+    the cache is cleared must find every cache entry keyed on the old one."""
+    params = ExtensionParams(5, 2, 2, 3)
+    old = build_extension(params)
+    build_extension.cache_clear()
+    new = build_extension(params)
+    assert new is not old
+    assert new == old and hash(new) == hash(old) == hash(params)
+    assert build_extension(ExtensionParams(5, 2, 2, 1)) != old
+
+
+def test_model_pickle_roundtrip():
+    import pickle
+
+    X = model(3, 4, 1)
+    for obj in (X, X.sigma, enumerate_group(X)):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+    assert type(pickle.loads(pickle.dumps(X.phi))) is GaloisElement

@@ -292,3 +292,20 @@ def test_ord_contains_split_everywhere_integral(params):
         assert ord_contains(X, A, o, Fraction(1, X.e)) is True
         # r*e_F = 1/2 is never integral
         assert ord_contains(X, A, o, Fraction(1, 2 * X.e)) is False
+
+
+@pytest.mark.parametrize("params", MODELS)
+def test_ord_contains_matches_fraction_oracle(params):
+    """Integer gate against the rational definition: r * e_F integral and
+    j == h * (r * e_F) (mod e_E)."""
+    from tametori.csa import order_invariants
+    from tametori.identities import grid_algebras
+
+    X = model(*params)
+    for A in grid_algebras(X.n):
+        inv = order_invariants(X, A)
+        for o in enumerate_orbits(X):
+            for r in [Fraction(k, 2 * X.e) for k in range(1, 9)] + [1, 2]:
+                jp = Fraction(r) * inv.e_F
+                want = jp.denominator == 1 and (o.j - A.h * int(jp)) % inv.e_E == 0
+                assert ord_contains(X, A, o, r) is want

@@ -14,7 +14,10 @@ from tametori.errors import (
     NotASubgroup,
     UnramifiedViolation,
 )
+from tametori.identities import GridSpec, grid_extension_params
 from tametori.localfield import (
+    GaloisElement,
+    build_extension,
     enumerate_group,
     inertia_order,
     interval_subgroups,
@@ -224,3 +227,57 @@ def test_depth_layers_partition_group():
         for k in range(shape.t):
             expected = len(shape.subgroups[k + 1]) - len(shape.subgroups[k])
             assert counts.get(k, 0) == expected
+
+
+def test_equal_shapes_share_hash_and_depth_cache_entry():
+    X = model(3, 1, 4)
+    shapes = enumerate_shapes(X, 2, 3)
+    g = enumerate_orbits(X)[0].rep
+    for shape in shapes:
+        subgroups = tuple(tuple(GaloisElement(*g) for g in H) for H in shape.subgroups)
+        twin = TowerShape(subgroups=subgroups, levels=tuple(list(shape.levels)))
+        assert twin == shape and twin is not shape
+        assert hash(twin) == hash(shape)
+        depth_index(X, shape, g)
+        before = depth_index.cache_info()
+        assert depth_index(X, twin, g) == depth_index(X, shape, g)
+        after = depth_index.cache_info()
+        assert after.currsize == before.currsize
+        assert after.hits == before.hits + 2
+
+
+def test_shape_pickle_roundtrip():
+    import pickle
+
+    for shape in enumerate_shapes(model(5, 2, 2), 2, 2):
+        back = pickle.loads(pickle.dumps(shape))
+        assert back == shape and hash(back) == hash(shape)
+
+
+def test_enumerated_shapes_pass_full_validation():
+    """enumerate_shapes validates one shape per chain; validate_shape stays
+    the oracle for every shape it returns."""
+    grid = GridSpec((3, 5, 7), n_max=6, w_extra=1, t_max=2, a_max=4)
+    checked = 0
+    for params in grid_extension_params(grid):
+        X = build_extension(params)
+        for shape in enumerate_shapes(X, grid.t_max, grid.a_max):
+            validate_shape(X, shape)
+            checked += 1
+    assert checked == 956
+
+
+def test_enumerate_shapes_validates_once_per_chain(monkeypatch):
+    import tametori.tower as tw
+
+    calls = []
+    real = tw.validate_shape
+    monkeypatch.setattr(
+        tw, "validate_shape", lambda X, shape: calls.append(shape) or real(X, shape)
+    )
+    X = model(3, 1, 4)
+    shapes = tw.enumerate_shapes.__wrapped__(X, 2, 5)  # uncached
+    chains = {s.subgroups for s in shapes}
+    assert len(shapes) > len(chains)
+    assert len(calls) == len(chains)
+    assert {s.subgroups for s in calls} == chains
