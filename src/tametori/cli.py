@@ -209,6 +209,18 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs {args.jobs} outside 1..{cpus} (the CPU count)")
     grid = load_config(args.config)
+    if args.dry_run:
+        plan = identities.plan(grid)
+        counts = {
+            "params": plan.params_count,
+            "instances": plan.instances,
+            "skipped_nonstrict": plan.skipped_nonstrict,
+        }
+        if args.format == "json":
+            print(json.dumps({"kind": "dry-run", **counts}, sort_keys=True))
+        else:
+            print("# " + " ".join(f"{k}={v}" for k, v in counts.items()))
+        return 0
     summary = identities.sweep(grid, jobs=args.jobs)
     stats = {
         "params": summary.params_count,
@@ -266,6 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--config", required=True, help="flat key=value grid file")
     p_sw.add_argument(
         "--jobs", type=int, default=1, help="worker processes, 1..CPU count"
+    )
+    p_sw.add_argument(
+        "--dry-run",
+        action="store_true",
+        help="print the params, instances and skipped_nonstrict counts only",
     )
     add_format_arg(p_sw)
     p_sw.set_defaults(func=cmd_sweep)

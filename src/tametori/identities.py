@@ -13,7 +13,9 @@ and epsilon_total compute the aggregates on their own, as the factorization
 oracle the tests compare the verdict products with.
 
 sweep() runs verify_instance over a parameter grid and collects failures in
-replayable coordinate rows.
+replayable coordinate rows; an instance whose check raises a TametoriError is
+a failure row too, and the sweep goes on.  plan() gives sweep's counts
+without verifying.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import chartools, finmod, tower
 from .chartools import TRIVIAL_CHAR, TameQuadChar
 from .csa import CsaParams, brauer_torsion_sign, split_algebra
 from .errors import DimensionMismatch, InvariantViolation, IotaIncoherence, NotSymmetric
+from .errors import TametoriError
 from .localfield import (
     ExtensionModel,
     ExtensionParams,
@@ -54,6 +57,7 @@ __all__ = [
     "verify_instance",
     "grid_extension_params",
     "grid_algebras",
+    "plan",
     "sweep",
 ]
 
@@ -308,28 +312,28 @@ def grid_algebras(n: int) -> tuple[CsaParams, ...]:
     )
 
 
-def _shape_coordinates(X: ExtensionModel, shape: TowerShape) -> tuple[str, str]:
-    towers = ",".join(subgroup_selector(X, H) for H in shape.subgroups[:-1]) or "-"
-    levels = ",".join(str(a) for a in shape.levels) or "-"
-    return towers, levels
-
-
-def failure_row(report: Report) -> dict:
-    """Replayable coordinates plus the mismatching values."""
-    inst = report.instance
-    p = inst.X.params
-    towers, levels = _shape_coordinates(inst.X, inst.shape)
-    bad = [v for v in report.verdicts if not v.passed]
+def _coordinates(inst: Instance) -> dict:
+    """The `verify` arguments that replay an instance."""
+    p, A, shape = inst.X.params, inst.A, inst.shape
+    towers = ",".join(subgroup_selector(inst.X, H) for H in shape.subgroups[:-1])
     return {
         "q": p.q,
         "e": p.e,
         "f": p.f,
         "w": p.w,
-        "m": inst.A.m,
-        "d": inst.A.d,
-        "h": inst.A.h,
-        "tower": towers,
-        "levels": levels,
+        "m": A.m,
+        "d": A.d,
+        "h": A.h,
+        "tower": towers or "-",
+        "levels": ",".join(str(a) for a in shape.levels) or "-",
+    }
+
+
+def failure_row(report: Report) -> dict:
+    """Replayable coordinates plus the mismatching values."""
+    bad = [v for v in report.verdicts if not v.passed]
+    return {
+        **_coordinates(report.instance),
         "orbits": ";".join(f"{v.ij[0]},{v.ij[1]}" for v in bad) or "-",
         "lhs": ";".join(f"{v.lhs.on_unit_gen},{v.lhs.on_uniformizer}" for v in bad),
         "rhs": ";".join(f"{v.rhs.on_unit_gen},{v.rhs.on_uniformizer}" for v in bad),
@@ -338,24 +342,38 @@ def failure_row(report: Report) -> dict:
     }
 
 
-def _sweep_param(args: tuple[GridSpec, ExtensionParams]) -> tuple[int, int, int, list[dict]]:
-    grid, params = args
+def error_row(inst: Instance, exc: TametoriError) -> dict:
+    """Replayable coordinates of an instance whose check raised; the orbits
+    cell names the error class."""
+    blank = dict.fromkeys(("lhs", "rhs", "aggregate_lhs", "aggregate_rhs"), "-")
+    return {**_coordinates(inst), "orbits": f"error:{type(exc).__name__}", **blank}
+
+
+def _field_shapes(grid: GridSpec, params: ExtensionParams):
+    """A field's model, the shapes the grid keeps, its algebras, and the
+    number of instances the strict filter skips."""
     X = build_extension(params)
     shapes = tower.enumerate_shapes(X, grid.t_max, grid.a_max)
     algebras = grid_algebras(X.n)
-    instances = orbits = skipped = 0
+    strict = grid.strict_admissible
+    kept = [s for s in shapes if not strict or inertia_order(X, s.subgroups[0]) == 1]
+    return X, kept, algebras, (len(shapes) - len(kept)) * len(algebras)
+
+
+def _sweep_param(args: tuple[GridSpec, ExtensionParams]) -> tuple[int, int, int, list[dict]]:
+    X, shapes, algebras, skipped = _field_shapes(*args)
+    orbits = 0
     failures: list[dict] = []
-    for shape in shapes:
-        if grid.strict_admissible and inertia_order(X, shape.subgroups[0]) != 1:
-            skipped += len(algebras)
+    for inst in (Instance(X, A, shape) for shape in shapes for A in algebras):
+        try:
+            report = verify_instance(inst)
+        except TametoriError as exc:
+            failures.append(error_row(inst, exc))
             continue
-        for A in algebras:
-            report = verify_instance(Instance(X, A, shape))
-            instances += 1
-            orbits += len(report.verdicts)
-            if not report.passed:
-                failures.append(failure_row(report))
-    return instances, orbits, skipped, failures
+        orbits += len(report.verdicts)
+        if not report.passed:
+            failures.append(failure_row(report))
+    return len(shapes) * len(algebras), orbits, skipped, failures
 
 
 def sweep(grid: GridSpec, jobs: int = 1) -> SweepSummary:
@@ -378,4 +396,18 @@ def sweep(grid: GridSpec, jobs: int = 1) -> SweepSummary:
         orbits_checked=orbits,
         failures=failures,
         skipped_nonstrict=skipped,
+    )
+
+
+def plan(grid: GridSpec) -> SweepSummary:
+    """sweep(grid)'s params, instances and skipped_nonstrict counts, without
+    verifying anything."""
+    params_list = grid_extension_params(grid)
+    fields = [_field_shapes(grid, p)[1:] for p in params_list]
+    return SweepSummary(
+        params_count=len(params_list),
+        instances=sum(len(shapes) * len(algebras) for shapes, algebras, _ in fields),
+        orbits_checked=0,
+        failures=(),
+        skipped_nonstrict=sum(skipped for *_, skipped in fields),
     )

@@ -225,28 +225,51 @@ def inertia_order(X: ExtensionModel, H) -> int:
     return sum(1 for g in H if g.c == 0)
 
 
+def _grow(X: ExtensionModel, closed: set, gens, g: GaloisElement):
+    """Extend closed = <gens>, a subgroup, in place to <gens, g>, yielding it
+    after each right coset closed * r it adds.  The first is closed * g; each
+    added coset's r times every generator names a candidate for the next."""
+    base = tuple(closed)
+    gens = (*gens, g)
+    reps = [g]
+    closed.update(compose(X, h, g) for h in base)
+    yield closed
+    for r in reps:  # grows while it is walked
+        for s in gens:
+            y = compose(X, r, s)
+            if y not in closed:
+                closed.update(compose(X, h, y) for h in base)
+                reps.append(y)
+                yield closed
+
+
+def _generate(X: ExtensionModel, gens):
+    """Grow <gens> in place from {1}, yielding the set after every step."""
+    closed = {GaloisElement(0, 0)}
+    yield closed
+    done: list[GaloisElement] = []
+    for g in gens:
+        if g not in closed:
+            yield from _grow(X, closed, done, g)
+            done.append(g)
+
+
 def subgroup_closure(X: ExtensionModel, gens) -> tuple[GaloisElement, ...]:
     """Subgroup generated by gens, as a sorted tuple."""
-    identity = GaloisElement(0, 0)
-    seen = {identity}
-    queue = [identity]
-    gens = tuple(gens)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = compose(X, x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    # the group is finite, so closing under the generators suffices
-    return tuple(sorted(seen))
+    *_, closed = _generate(X, gens)
+    return tuple(sorted(closed))
 
 
 def is_subgroup(X: ExtensionModel, H) -> bool:
+    """True when H contains 1 and is closed under compose.
+
+    <H>, grown from H's own elements in sorted order, contains H and 1, so H
+    is a subgroup exactly when the growth never outgrows it; it stops as soon
+    as it does.  Each growth at least doubles the set, so a subgroup takes
+    O(|H| log |H|) composes, not |H|^2.
+    """
     S = set(H)
-    if GaloisElement(0, 0) not in S:
-        return False
-    return all(compose(X, g, h) in S for g in S for h in S)
+    return all(len(closed) <= len(S) for closed in _generate(X, sorted(S)))
 
 
 def subfield_invariants(X: ExtensionModel, H) -> tuple[int, int]:
@@ -268,25 +291,30 @@ def subfield_invariants(X: ExtensionModel, H) -> tuple[int, int]:
 def interval_subgroups(X: ExtensionModel) -> tuple[tuple[GaloisElement, ...], ...]:
     """All subgroups H with Gal(L/E) <= H <= Gal(L/F), sorted by (order, elements).
 
-    BFS over generator extensions: each known subgroup is extended by one new
-    element and re-closed.  The interval lattice is tiny for every tame model.
+    BFS over generator extensions, each grown from H itself.  <H, g> =
+    <H, h g gamma> for h in H and gamma in Gal(L/E), so H is extended by one
+    g per double coset H g Gal(L/E): g (0, c') = (g.a, g.c + c'), so each
+    coset g Gal(L/E) has one representative with c < f, and after a try
+    those of H g are marked done.
     """
-    group = enumerate_group(X)
     base_gens = (GaloisElement(0, X.f % X.f_L),)
     base = subgroup_closure(X, base_gens)
     if base != X.gamma_E:
         raise NotASubgroup(f"the closure of {base_gens!r} is not Gal(L/E)")
+    reps = [g for g in enumerate_group(X) if g.c < X.f]
     found = {base: base_gens}
     queue = [base]
     while queue:
         H = queue.pop()
         gens = found[H]
-        members = set(H)
-        for g in group:
-            if g in members:
+        done = set(H)
+        for g in reps:
+            if g in done:
                 continue
-            H2 = subgroup_closure(X, gens + (g,))
+            *_, grown = _grow(X, set(H), gens, g)
+            H2 = tuple(sorted(grown))
             if H2 not in found:
                 found[H2] = gens + (g,)
                 queue.append(H2)
+            done.update(GaloisElement(y.a, y.c % X.f) for y in (compose(X, h, g) for h in H))
     return tuple(sorted(found, key=lambda H: (len(H), H)))

@@ -96,17 +96,19 @@ def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
             f"need t+1={shape.t + 1} subgroups, got {len(shape.subgroups)}"
         )
     gamma = set(X.gamma_E)
-    for H in shape.subgroups:
+    sets = [set(H) for H in shape.subgroups]
+    for H, members in zip(shape.subgroups, sets):
         if not is_subgroup(X, H):
             raise NotASubgroup(f"{H!r} is not closed")
-        if not gamma <= set(H):
+        if not gamma <= members:
             raise NotASubgroup(f"{H!r} does not contain Gal(L/E)")
-    if len(set(shape.subgroups[-1])) != X.e * X.f_L:
+    if len(sets[-1]) != X.e * X.f_L:
         raise NotASubgroup("top of the chain must be all of Gal(L/F)")
     if shape.t >= 1 and inertia_order(X, shape.subgroups[0]) != 1:
         raise UnramifiedViolation("E/E_0 must be unramified (trivial inertia)")
-    for low, high in zip(shape.subgroups, shape.subgroups[1:]):
-        if not set(low) < set(high):
+    for k in range(shape.t):
+        if not sets[k] < sets[k + 1]:
+            low, high = shape.subgroups[k], shape.subgroups[k + 1]
             raise NonStrictTower(f"{low!r} not strictly inside {high!r}")
     if any(a <= 0 for a in shape.levels):
         raise NonIncreasingLevels(f"levels {shape.levels} must be positive")
@@ -130,21 +132,22 @@ def enumerate_shapes(
         raise NotASubgroup("top of the interval lattice must be all of Gal(L/F)")
     shapes = [TowerShape(subgroups=(full,), levels=())]
     validate_shape(X, shapes[0])
-    bottoms = [H for H in subs if inertia_order(X, H) == 1]
+    # every interval subgroup lies in full; the proper ones are all but the last
+    proper = [(H, frozenset(H)) for H in subs[:-1]]
     for t in range(1, max_t + 1):
         chains: list[tuple[Subgroup, ...]] = []
 
-        def grow(chain: tuple[Subgroup, ...]) -> None:
+        def grow(chain: tuple[Subgroup, ...], top: frozenset) -> None:
             if len(chain) == t:
                 chains.append(chain + (full,))
                 return
-            for H in subs:
-                if set(chain[-1]) < set(H) < set(full):
-                    grow(chain + (H,))
+            for H, members in proper:
+                if top < members:
+                    grow(chain + (H,), members)
 
-        for H0 in bottoms:
-            if set(H0) < set(full):
-                grow((H0,))
+        for H0, members in proper:
+            if inertia_order(X, H0) == 1:
+                grow((H0,), members)
         for chain in chains:
             chain_shapes = [
                 TowerShape(subgroups=chain, levels=levels)

@@ -258,3 +258,57 @@ def test_sweep_json_summary(capsys, tmp_path):
     assert rows[-1]["failures"] == 0
     assert rows[-1]["skipped_nonstrict"] > 0  # e=2 models lose their t=0 shape
     assert all(r["kind"] == "summary" for r in rows)  # no failure rows
+
+
+def test_sweep_error_row_exits_1(capsys, tmp_path, monkeypatch):
+    """An instance that raises is a failure row under the usual header; the
+    sweep goes on and exits 1."""
+    import tametori.identities as ident
+    from tametori.errors import NotTwoTorsion
+
+    path = write_config(tmp_path, "q_list = 3\nn_max = 2\n")
+    _, clean, _ = run(capsys, "sweep", "--config", path)
+    real = ident.verify_instance
+
+    def flaky(inst):
+        if inst.X.params.e == 2 and inst.A.d == 2:
+            raise NotTwoTorsion("forced")
+        return real(inst)
+
+    monkeypatch.setattr(ident, "verify_instance", flaky)
+    code, out, _ = run(capsys, "sweep", "--config", path)
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == clean.splitlines()[0]
+    rows = [dict(zip(lines[0].split("\t"), line.split("\t"))) for line in lines[1:-1]]
+    assert rows and all(r["orbits"] == "error:NotTwoTorsion" for r in rows)
+    assert {(r["e"], r["d"]) for r in rows} == {("2", "2")}
+    stats = dict(kv.split("=") for kv in lines[-1][2:].split())
+    assert stats["failures"] == str(len(rows))
+    assert stats["instances"] == dict(kv.split("=") for kv in clean.splitlines()[-1][2:].split())["instances"]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_sweep_dry_run_counts(capsys, tmp_path, monkeypatch, fmt):
+    """--dry-run prints the counts a real sweep reports and verifies nothing."""
+    import tametori.identities as ident
+
+    path = write_config(
+        tmp_path, "q_list = 3,5\nn_max = 4\nw_policy = sample:1\nw_seed = 7\nt_max = 1\na_max = 2\nstrict = 1\n"
+    )
+    _, full, _ = run(capsys, "sweep", "--config", path, "--format", "json")
+    summary = json.loads(full.strip().splitlines()[-1])
+
+    def refuse(inst):
+        raise AssertionError("dry run verified an instance")
+
+    monkeypatch.setattr(ident, "verify_instance", refuse)
+    code, out, _ = run(capsys, "sweep", "--config", path, "--dry-run", "--format", fmt)
+    assert code == 0
+    keys = ("params", "instances", "skipped_nonstrict")
+    want = {k: summary[k] for k in keys}
+    assert want["skipped_nonstrict"] > 0
+    if fmt == "json":
+        assert json.loads(out) == {"kind": "dry-run", **want}
+    else:
+        assert out == "# " + " ".join(f"{k}={want[k]}" for k in keys) + "\n"

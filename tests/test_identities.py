@@ -6,7 +6,7 @@ import pytest
 
 from tametori.chartools import TRIVIAL_CHAR, TameQuadChar
 from tametori.csa import CsaParams
-from tametori.errors import NotSymmetric
+from tametori.errors import IotaIncoherence, NotSymmetric
 from tametori.identities import (
     GridSpec,
     Instance,
@@ -14,6 +14,7 @@ from tametori.identities import (
     Side,
     epsilon_alpha,
     epsilon_total,
+    error_row,
     failure_row,
     grid_algebras,
     grid_extension_params,
@@ -203,6 +204,33 @@ def test_failure_row_replay_coordinates():
     shape2 = shape_from_bottoms(X2, bottoms, levels)
     assert Instance(X2, CsaParams(row["m"], row["d"], row["h"]), shape2) == inst
     assert row["orbits"] == "-"  # no failing verdicts on a passing report
+
+
+def test_raising_instance_is_a_failure_row(monkeypatch):
+    """A TametoriError from one instance becomes a failure row with its replay
+    coordinates and the error class; the other instances are still checked."""
+    import tametori.identities as ident
+
+    grid = GridSpec(q_list=(3,), n_max=4, w_extra=1, w_seed=7, t_max=1, a_max=3)
+    clean = sweep(grid)
+    target = make_instance((3, 1, 4, 0), (2, 2, 1), ["2.0"], (2,))
+    real = ident.verify_instance
+
+    def flaky(inst):
+        if inst == target:
+            raise IotaIncoherence("forced")
+        return real(inst)
+
+    monkeypatch.setattr(ident, "verify_instance", flaky)
+    summary = sweep(grid)
+    assert summary.instances == clean.instances
+    assert summary.orbits_checked == clean.orbits_checked - len(real(target).verdicts)
+    assert summary.failures == (error_row(target, IotaIncoherence("forced")),)
+    row = summary.first_failure
+    assert row["orbits"] == "error:IotaIncoherence"
+    assert (row["q"], row["e"], row["f"], row["w"]) == (3, 1, 4, 0)
+    assert (row["m"], row["d"], row["h"], row["tower"], row["levels"]) == (2, 2, 1, "2.0", "2")
+    assert list(row) == list(failure_row(real(target)))
 
 
 def test_failure_row_t0():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tametori import localfield
 from tametori.errors import NotASubgroup, SearchExhausted, TameViolation
+from tametori.identities import GridSpec, grid_extension_params
 from tametori.localfield import (
     ExtensionParams,
     GaloisElement,
@@ -22,6 +24,7 @@ from tametori.localfield import (
     subfield_invariants,
     subgroup_closure,
 )
+from tametori.tower import enumerate_shapes, validate_shape
 
 from conftest import model
 
@@ -203,6 +206,27 @@ def test_subfield_tower_multiplicativity(params, data):
     assert X.e % e_M == 0 and X.f_L % f_M == 0
 
 
+def closed_pairwise(X, S):
+    """Oracle for is_subgroup: the definition, with all |S|^2 products."""
+    S = set(S)
+    return GaloisElement(0, 0) in S and all(compose(X, g, h) in S for g in S for h in S)
+
+
+def brute_closure(X, gens):
+    """Oracle for subgroup_closure: close {1} under right multiplication by
+    every generator."""
+    seen = {GaloisElement(0, 0)}
+    queue = list(seen)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = compose(X, x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return tuple(sorted(seen))
+
+
 def brute_interval_subgroups(X):
     """Oracle: test every subset of the group containing Gal(L/E)."""
     from itertools import combinations
@@ -214,8 +238,28 @@ def brute_interval_subgroups(X):
     for k in range(len(rest) + 1):
         for extra in combinations(rest, k):
             cand = tuple(sorted(gamma | set(extra)))
-            if is_subgroup(X, cand):
+            if closed_pairwise(X, cand):
                 found.add(cand)
+    return tuple(sorted(found, key=lambda H: (len(H), H)))
+
+
+def bfs_interval_subgroups(X):
+    """Oracle: extend every known subgroup by every element outside it and
+    re-close from the identity."""
+    group = enumerate_group(X)
+    base_gens = (GaloisElement(0, X.f % X.f_L),)
+    found = {brute_closure(X, base_gens): base_gens}
+    queue = list(found)
+    while queue:
+        H = queue.pop()
+        gens = found[H]
+        members = set(H)
+        for g in group:
+            if g not in members:
+                H2 = brute_closure(X, gens + (g,))
+                if H2 not in found:
+                    found[H2] = gens + (g,)
+                    queue.append(H2)
     return tuple(sorted(found, key=lambda H: (len(H), H)))
 
 
@@ -223,6 +267,94 @@ def brute_interval_subgroups(X):
 def test_interval_subgroups_against_bruteforce(params):
     X = model(*params)
     assert interval_subgroups(X) == brute_interval_subgroups(X)
+
+
+def test_interval_subgroups_against_elementwise_bfs():
+    """One extension per double coset finds the lattice that extending by
+    every element finds, on every field of the field-scan grid."""
+    grid = GridSpec((3, 5), n_max=12, w_extra=2, w_seed=20260817)
+    fields = grid_extension_params(grid)
+    assert len(fields) == 169
+    for params in fields:
+        X = build_extension(params)
+        assert interval_subgroups(X) == bfs_interval_subgroups(X), params
+
+
+def test_is_subgroup_matches_pairwise_definition():
+    """On every PARAMS field: every interval subgroup, each of them with one
+    element added or removed, and seeded random subsets: half of them with
+    the identity, and closures of random pairs (subgroups outside the
+    interval)."""
+    import random
+
+    rng = random.Random(20260817)
+    one = GaloisElement(0, 0)
+    checked = 0
+    for params in PARAMS:
+        X = build_extension(params)
+        group = enumerate_group(X)
+        subs = interval_subgroups(X)
+        cands = [*subs, *(set(H) ^ {g} for H in subs for g in group)]
+        for _ in range(8):
+            cands.append(rng.sample(group, rng.randint(0, len(group))))
+            cands.append({one, *rng.sample(group, rng.randint(0, len(group)))})
+            cands.append(brute_closure(X, rng.choices(group, k=2)))
+        for S in cands:
+            assert is_subgroup(X, S) == closed_pairwise(X, S), (params, S)
+        assert all(is_subgroup(X, H) for H in subs)
+        checked += len(cands)
+    assert checked > 5000
+
+
+def test_is_subgroup_stops_when_the_growth_outgrows_the_set(monkeypatch):
+    """(1, 0) lies outside Gal(L/F) for (3, 1, 8) and generates all 3^8 - 1
+    pairs (a, 0): the test must stop after a few composes, not close it."""
+    X = model(3, 1, 8)
+    calls = count_composes(monkeypatch)
+    assert not is_subgroup(X, (GaloisElement(0, 0), GaloisElement(1, 0)))
+    assert calls[0] < 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PARAMS), st.data())
+def test_subgroup_closure_matches_oracle(params, data):
+    X = build_extension(params)
+    group = enumerate_group(X)
+    gens = data.draw(st.lists(st.sampled_from(group), max_size=4))
+    closure = subgroup_closure(X, gens)
+    assert closure == brute_closure(X, gens)
+    assert closed_pairwise(X, closure)
+
+
+def count_composes(monkeypatch):
+    """Count every localfield.compose call made from here on."""
+    calls = [0]
+    real = localfield.compose
+
+    def counted(X, g, h):
+        calls[0] += 1
+        return real(X, g, h)
+
+    monkeypatch.setattr(localfield, "compose", counted)
+    return calls
+
+
+def test_lattice_compose_budget(monkeypatch):
+    """Complexity guard on the 64-element group of (5, 8, 1, 3): the lattice
+    and the chain checks stay under a quarter of the 19,208 and 17,856
+    composes that whole-group BFS and |S|^2 subgroup tests took."""
+    X = model(5, 8, 1, 3)
+    assert len(enumerate_group(X)) == 64
+    calls = count_composes(monkeypatch)
+    subs = interval_subgroups.__wrapped__(X)
+    assert subs == interval_subgroups(X)
+    assert 0 < calls[0] < 19_208 // 4
+    chains = {s.subgroups: s for s in enumerate_shapes(X, 2, 2)}
+    assert len(chains) == 4
+    calls[0] = 0
+    for shape in chains.values():
+        validate_shape(X, shape)
+    assert 0 < calls[0] < 17_856 // 4
 
 
 def test_interval_subgroups_sorted_and_bounded():
