@@ -20,7 +20,6 @@ __all__ = [
     "MuExponent",
     "TameQuadChar",
     "TRIVIAL_CHAR",
-    "char_eval",
     "reduce_to_subfield",
     "legendre_kx",
     "legendre_k1",
@@ -62,11 +61,6 @@ class TameQuadChar:
 
 
 TRIVIAL_CHAR = TameQuadChar(1, 1)
-
-
-def char_eval(chi: TameQuadChar, u: int, v: int) -> int:
-    """Value at zeta_E^u * pi_E^v."""
-    return (chi.on_unit_gen**(u % 2)) * (chi.on_uniformizer**(v % 2))
 
 
 def reduce_to_subfield(x: MuExponent, Q_sub: int) -> int:

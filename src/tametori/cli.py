@@ -35,6 +35,14 @@ def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
         print("\t".join("-" if row[c] is None else str(row[c]) for c in columns))
 
 
+def _emit_counts(kind: str, counts: dict, fmt: str) -> None:
+    """One count line: a JSON object tagged with kind, or a `# k=v ...` line."""
+    if fmt == "json":
+        print(json.dumps({"kind": kind, **counts}, sort_keys=True))
+    else:
+        print("# " + " ".join(f"{k}={v}" for k, v in counts.items()))
+
+
 def _build_model(args) -> ExtensionModel:
     return build_extension(ExtensionParams(args.q, args.e, args.f, args.w))
 
@@ -216,10 +224,7 @@ def cmd_sweep(args) -> int:
             "instances": plan.instances,
             "skipped_nonstrict": plan.skipped_nonstrict,
         }
-        if args.format == "json":
-            print(json.dumps({"kind": "dry-run", **counts}, sort_keys=True))
-        else:
-            print("# " + " ".join(f"{k}={v}" for k, v in counts.items()))
+        _emit_counts("dry-run", counts, args.format)
         return 0
     summary = identities.sweep(grid, jobs=args.jobs)
     stats = {
@@ -232,10 +237,9 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         for row in summary.failures:
             print(json.dumps({"kind": "failure", **row}, sort_keys=True))
-        print(json.dumps({"kind": "summary", **stats}, sort_keys=True))
     else:
         _emit(list(summary.failures), _FAILURE_COLUMNS, "tsv")
-        print("# " + " ".join(f"{k}={v}" for k, v in stats.items()))
+    _emit_counts("summary", stats, args.format)
     return 1 if summary.failures else 0
 
 

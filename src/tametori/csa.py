@@ -4,7 +4,9 @@ A is encoded by (m, d, h): D is the division algebra of degree d^2 with Hasse
 invariant h/d, gcd(h, d) = 1, and n = m*d.  The split form is (n, 1, 0).
 E embeds in A when m*d = e*f, and the E-pure principal orders attached to the
 embedding are controlled by a handful of integer invariants, all derived here
-by gcd bookkeeping.  Brauer classes live in Q/Z as exact Fractions.
+by gcd bookkeeping.  The Brauer class of A is h/d in Q/Z; the 2-torsion
+sign of a multiple of it is read off the integer residue of the numerator
+mod d.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ __all__ = [
     "CsaParams",
     "OrderInvariants",
     "split_algebra",
-    "brauer_class",
     "order_invariants",
     "centralizer_invariants",
     "brauer_torsion_sign",
-    "symram_epsilon_product",
 ]
 
 
@@ -52,11 +52,6 @@ class CsaParams:
 def split_algebra(n: int) -> CsaParams:
     """The split form M_n(F), one shared instance per n."""
     return CsaParams(n, 1, 0)
-
-
-def brauer_class(A: CsaParams) -> Fraction:
-    """Class of A in Br(F) = Q/Z, normalized to [0, 1)."""
-    return Fraction(A.h % A.d, A.d) if A.d > 1 else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +122,3 @@ def brauer_torsion_sign(A: CsaParams, n_alpha: int) -> int:
         return -1
     cls = Fraction(rem, A.d)  # reduced mod 1
     raise NotTwoTorsion(f"{n_alpha} * [{A.h}/{A.d}] = {cls} is not 2-torsion")
-
-
-def symram_epsilon_product(A: CsaParams, v: int) -> int:
-    """Two-sided product of the symmetric-ramified epsilon characters at an
-    element of valuation v: (-1)^{m v}."""
-    return -1 if (A.m * v) % 2 else 1

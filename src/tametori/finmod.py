@@ -4,7 +4,9 @@ The graded pieces of the E-pure principal order of A decompose over the double
 cosets; the coset [g] contributes the residue field k_{F_alpha} (dimension
 f(F_alpha/F) over k_F, the trivial coset contributing k_E).  The depth-k layer
 of a tower assigns each coset a module class: Zero off the layer support, U
-when the parity a_k * e(A_{k+1}/O_E) is even and j == h j_k (mod e(A/O_E)).
+when the parity a_k * e(A_{k+1}/O_E) is even and j == h j_k (mod e(A/O_E)),
+with j_k = a_k * e(A/O_E) / 2 the integer that jump_data returns (None for an
+odd parity).
 
 Comparing the class of a symmetric orbit across A and its split form is the
 module route to the symplectic-isomorphism dichotomy; j == 0 or m even is the
@@ -65,10 +67,9 @@ def v_module(
     k = depth_index(X, shape, g)
     if k == -1:
         return ModuleClass.ZERO
-    jd = jump_data(X, A, shape, k)
-    if not jd.product_even:
+    j_k = jump_data(X, A, shape, k)
+    if j_k is None:
         return ModuleClass.ZERO
-    j_k = int(jd.j_k)  # integral whenever the parity is even
     e_E = order_invariants(X, A).e_E
     if (g.c % X.f - A.h * j_k) % e_E == 0:
         return ModuleClass.U
@@ -79,8 +80,7 @@ def v_layer(
     X: ExtensionModel, A: CsaParams, shape: TowerShape, k: int
 ) -> tuple[tuple[int, int], ...]:
     """Labels of the cosets with a nonvanishing module in layer k."""
-    jd = jump_data(X, A, shape, k)
-    if not jd.product_even:
+    if jump_data(X, A, shape, k) is None:
         return ()
     return tuple(
         sorted(

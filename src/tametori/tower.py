@@ -7,16 +7,17 @@ keep E/E_0 unramified (its inertia is trivial); a t = 0 shape is the bare
 chain [Gal(L/F)] and every root has depth -1 there.
 
 depth_index places a double coset in the unique layer H_{k+1} - H_k it meets;
-jump_data packages the layer-k parity and half-integer invariants used by the
-finite-module criteria.
+jump_data gives the layer-k graded index j_k = a_k * e(A/O_E) / 2 used by the
+finite-module criteria, or None when a_k * e(A_{k+1}/O_E) is odd and the
+whole layer vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from .csa import CsaParams, centralizer_invariants, order_invariants
 from .errors import (
@@ -38,7 +39,6 @@ from .localfield import (
 
 __all__ = [
     "TowerShape",
-    "JumpData",
     "validate_shape",
     "enumerate_shapes",
     "depth_index",
@@ -54,14 +54,17 @@ Subgroup = tuple[GaloisElement, ...]
 class TowerShape:
     """subgroups = (H_0, ..., H_t) with H_t = Gal(L/F); levels = (a_0, ..., a_{t-1}).
 
-    The hash is computed once: the shape keys the per-orbit caches.
+    The hash and members (one frozenset per subgroup, for membership tests)
+    are computed once: the shape keys the per-orbit caches.
     """
 
     subgroups: tuple[Subgroup, ...]
     levels: tuple[int, ...]
+    members: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(map(frozenset, self.subgroups)))
         object.__setattr__(self, "_hash", hash((self.subgroups, self.levels)))
 
     def __hash__(self) -> int:
@@ -70,18 +73,6 @@ class TowerShape:
     @property
     def t(self) -> int:
         return len(self.levels)
-
-
-@dataclass(frozen=True)
-class JumpData:
-    """Layer-k invariants: e_next = e(A_{k+1}/O_E), the parity of
-    a_k * e_next, and the half-integer j_k = a_k * e(A/O_E) / 2."""
-
-    k: int
-    level: int
-    e_next: int
-    product_even: bool
-    j_k: Fraction
 
 
 def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
@@ -96,7 +87,7 @@ def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
             f"need t+1={shape.t + 1} subgroups, got {len(shape.subgroups)}"
         )
     gamma = set(X.gamma_E)
-    sets = [set(H) for H in shape.subgroups]
+    sets = shape.members
     for H, members in zip(shape.subgroups, sets):
         if not is_subgroup(X, H):
             raise NotASubgroup(f"{H!r} is not closed")
@@ -162,18 +153,13 @@ def enumerate_shapes(
 
 
 @lru_cache(maxsize=None)
-def _member_sets(shape: TowerShape) -> tuple[frozenset, ...]:
-    return tuple(frozenset(H) for H in shape.subgroups)
-
-
-@lru_cache(maxsize=None)
 def depth_index(X: ExtensionModel, shape: TowerShape, g: GaloisElement) -> int:
     """-1 if g lies in H_0, else the unique k with g in H_{k+1} - H_k.
 
     Constant on double cosets and under inversion, because every H_k contains
     Gal(L/E) and is closed under inverses.
     """
-    sets = _member_sets(shape)
+    sets = shape.members
     if g in sets[0]:
         return -1
     for k in range(shape.t):
@@ -182,7 +168,12 @@ def depth_index(X: ExtensionModel, shape: TowerShape, g: GaloisElement) -> int:
     raise NotASubgroup(f"{g!r} outside the top of the chain")
 
 
-def jump_data(X: ExtensionModel, A: CsaParams, shape: TowerShape, k: int) -> JumpData:
+def jump_data(
+    X: ExtensionModel, A: CsaParams, shape: TowerShape, k: int
+) -> int | None:
+    """j_k = a_k * e(A/O_E) / 2 for layer k, or None when a_k * e_next is odd
+    (e_next = e(A_{k+1}/O_E)) and the layer vanishes.  e_next divides
+    e(A/O_E), so an even a_k * e_next makes j_k an integer."""
     if not 0 <= k < shape.t:
         raise IndexOutOfRange(f"k={k} outside 0..{shape.t - 1}")
     a_k = shape.levels[k]
@@ -190,13 +181,9 @@ def jump_data(X: ExtensionModel, A: CsaParams, shape: TowerShape, k: int) -> Jum
     e_E = order_invariants(X, A).e_E
     if e_E % e_next:
         raise InvariantViolation(f"e(A_{k + 1}/O_E)={e_next} does not divide e_E={e_E}")
-    return JumpData(
-        k=k,
-        level=a_k,
-        e_next=e_next,
-        product_even=(a_k * e_next) % 2 == 0,
-        j_k=Fraction(a_k * e_E, 2),
-    )
+    if (a_k * e_next) % 2:
+        return None
+    return a_k * e_E // 2
 
 
 def subgroup_selector(X: ExtensionModel, H: Subgroup) -> str:
@@ -223,11 +210,7 @@ def parse_selector(X: ExtensionModel, token: str) -> Subgroup:
         idx = int(idx_s) if idx_s else 0
     except ValueError:
         raise KeyError(f"bad subfield selector {token!r}") from None
-    peers = [
-        S
-        for S in subs
-        if (lambda ef: ef[0] * ef[1])(subfield_invariants(X, S)) == deg
-    ]
+    peers = [S for S in subs if prod(subfield_invariants(X, S)) == deg]
     if not 0 <= idx < len(peers):
         raise KeyError(f"no subfield matches selector {token!r}")
     return peers[idx]

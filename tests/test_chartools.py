@@ -10,7 +10,6 @@ from tametori.chartools import (
     TRIVIAL_CHAR,
     MuExponent,
     TameQuadChar,
-    char_eval,
     legendre_k1,
     legendre_kx,
     perm_sign,
@@ -37,15 +36,6 @@ def test_quad_char_validation_and_product():
         TameQuadChar(0, 1)
     with pytest.raises(ValueError):
         TameQuadChar(1, 2)
-
-
-def test_char_eval():
-    chi = TameQuadChar(-1, 1)
-    assert char_eval(chi, 0, 0) == 1
-    assert char_eval(chi, 1, 0) == -1
-    assert char_eval(chi, 2, 5) == 1
-    assert char_eval(TameQuadChar(-1, -1), 1, 1) == 1
-    assert char_eval(TameQuadChar(1, -1), 4, 3) == -1
 
 
 def test_reduce_to_subfield():

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from tametori.csa import (
     CsaParams,
-    brauer_class,
     brauer_torsion_sign,
     centralizer_invariants,
     order_invariants,
     split_algebra,
-    symram_epsilon_product,
 )
 from tametori.errors import DimensionMismatch, NotASubgroup, NotTwoTorsion
 from tametori.localfield import interval_subgroups, subfield_invariants
@@ -33,12 +31,6 @@ def test_csa_params_validation():
         CsaParams(1, 4, 4)  # h out of range
     with pytest.raises(ValueError):
         CsaParams(0, 1, 0)
-
-
-def test_brauer_class():
-    assert brauer_class(split_algebra(5)) == 0
-    assert brauer_class(CsaParams(1, 4, 3)) == Fraction(3, 4)
-    assert brauer_class(CsaParams(2, 2, 1)) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -162,11 +154,3 @@ def test_brauer_torsion_matches_fraction_order(d, h, n_alpha):
     else:
         with pytest.raises(NotTwoTorsion):
             brauer_torsion_sign(A, n_alpha)
-
-
-def test_symram_epsilon_product():
-    assert symram_epsilon_product(CsaParams(2, 2, 1), 1) == 1
-    assert symram_epsilon_product(CsaParams(1, 4, 1), 1) == -1
-    assert symram_epsilon_product(CsaParams(3, 1, 0), 1) == -1
-    assert symram_epsilon_product(CsaParams(3, 1, 0), 2) == 1
-    assert symram_epsilon_product(CsaParams(3, 1, 0), 0) == 1

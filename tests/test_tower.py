@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tametori.csa import CsaParams
+from tametori.csa import CsaParams, centralizer_invariants, order_invariants
 from tametori.errors import (
     IndexOutOfRange,
     NonIncreasingLevels,
@@ -14,7 +14,7 @@ from tametori.errors import (
     NotASubgroup,
     UnramifiedViolation,
 )
-from tametori.identities import GridSpec, grid_extension_params
+from tametori.identities import GridSpec, grid_algebras, grid_extension_params
 from tametori.localfield import (
     GaloisElement,
     build_extension,
@@ -154,27 +154,27 @@ def test_depth_constant_on_double_cosets_and_inverse():
                     assert depth_index(X, shape, coset_element(X, i, j)) == d
 
 
+def e_next(X, A, shape, k):
+    """e(A_{k+1}/O_E), the centralizer index that decides the layer parity."""
+    return centralizer_invariants(X, A, shape.subgroups[k + 1])[2]
+
+
 def test_jump_data_frozen():
     X = model(3, 1, 4)
     A = CsaParams(2, 2, 1)
     subs = interval_subgroups(X)
     # one-step tower E_0 = E: the k=0 centralizer chain ends at A itself
     flat = TowerShape(subgroups=(subs[0], subs[2]), levels=(1,))
+    assert e_next(X, A, flat, 0) == 2
     j0 = jump_data(X, A, flat, 0)
-    assert (j0.level, j0.e_next) == (1, 2)
-    assert j0.product_even is True
-    assert j0.j_k == Fraction(1 * 2, 2) == 1
+    assert type(j0) is int and j0 == 1  # a_0 * e(A/O_E) / 2 = 1 * 2 / 2
     # two-step tower through the quadratic subfield: A_1 is split over E_1,
     # so e_next drops to 1 and level 1 makes the product odd
     deep = TowerShape(subgroups=(subs[0], subs[1], subs[2]), levels=(1, 2))
-    d0 = jump_data(X, A, deep, 0)
-    assert (d0.level, d0.e_next) == (1, 1)
-    assert d0.product_even is False
-    assert d0.j_k == 1
-    d1 = jump_data(X, A, deep, 1)
-    assert (d1.level, d1.e_next) == (2, 2)
-    assert d1.product_even is True
-    assert d1.j_k == 2
+    assert e_next(X, A, deep, 0) == 1
+    assert jump_data(X, A, deep, 0) is None
+    assert e_next(X, A, deep, 1) == 2
+    assert jump_data(X, A, deep, 1) == 2
     with pytest.raises(IndexOutOfRange):
         jump_data(X, A, deep, 2)
     with pytest.raises(IndexOutOfRange):
@@ -185,9 +185,30 @@ def test_jump_data_even_product_3_1_2():
     X = model(3, 1, 2)
     A = CsaParams(1, 2, 1)
     shape = shape_from_bottoms(X, [X.gamma_E], (1,))
-    j0 = jump_data(X, A, shape, 0)
-    assert (j0.e_next, j0.product_even) == (2, True)
-    assert j0.j_k == 1
+    assert e_next(X, A, shape, 0) == 2
+    assert jump_data(X, A, shape, 0) == 1
+
+
+def test_jump_data_none_exactly_on_odd_layers():
+    """Over a whole grid: None exactly when a_k * e_next is odd, else the
+    integer a_k * e(A/O_E) / 2."""
+    grid = GridSpec((3, 5, 7), n_max=6, w_extra=1, w_seed=20260817, t_max=2, a_max=4)
+    layers = odd = 0
+    for params in grid_extension_params(grid):
+        X = build_extension(params)
+        for A in grid_algebras(X.n):
+            e_E = order_invariants(X, A).e_E
+            for shape in enumerate_shapes(X, grid.t_max, grid.a_max):
+                for k, a_k in enumerate(shape.levels):
+                    j_k = jump_data(X, A, shape, k)
+                    layers += 1
+                    if (a_k * e_next(X, A, shape, k)) % 2:
+                        odd += 1
+                        assert j_k is None
+                    else:
+                        assert type(j_k) is int
+                        assert j_k == Fraction(a_k * e_E, 2)
+    assert layers > odd > 0
 
 
 def test_selector_roundtrip():
@@ -238,6 +259,8 @@ def test_equal_shapes_share_hash_and_depth_cache_entry():
         twin = TowerShape(subgroups=subgroups, levels=tuple(list(shape.levels)))
         assert twin == shape and twin is not shape
         assert hash(twin) == hash(shape)
+        assert twin.members == shape.members
+        assert "members" not in repr(twin)
         depth_index(X, shape, g)
         before = depth_index.cache_info()
         assert depth_index(X, twin, g) == depth_index(X, shape, g)
