@@ -14,7 +14,6 @@ from .identities import (
     GridSpec,
     Instance,
     Report,
-    Side,
     SweepSummary,
     sweep,
     verify_instance,
@@ -32,7 +31,6 @@ __all__ = [
     "GridSpec",
     "Instance",
     "Report",
-    "Side",
     "SweepSummary",
     "sweep",
     "verify_instance",

@@ -18,7 +18,7 @@ from .csa import CsaParams
 from .errors import TametoriError
 from .finmod import u_dim
 from .identities import GridSpec, Instance, Report, verify_instance
-from .localfield import ExtensionModel, ExtensionParams, build_extension
+from .localfield import ExtensionModel, ExtensionParams, build_extension, radical_prime
 from .roots import enumerate_orbits
 from .tower import TowerShape, interval_subgroups, parse_selector, validate_shape
 
@@ -155,9 +155,18 @@ _CONFIG_KEYS = {
 }
 
 
+def _at_least(name: str, text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise ValueError(f"{name} = {value} is below {low}")
+    return value
+
+
 def load_config(path: str) -> GridSpec:
     """Flat `key = value` file; unknown or repeated keys and malformed values
-    are usage errors."""
+    (a q that is not an odd prime power or repeats, n_max < 1, a negative
+    t_max, a_max or sample count, strict other than 0/1/false/true) are usage
+    errors."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -173,22 +182,30 @@ def load_config(path: str) -> GridSpec:
             values[key] = val
     try:
         q_list = tuple(int(s) for s in values["q_list"].split(","))
-        n_max = int(values["n_max"])
+        for q in q_list:
+            if radical_prime(q) == 2:
+                raise ValueError(f"q={q} must be odd")
+        if len(set(q_list)) != len(q_list):
+            raise ValueError(f"q_list {values['q_list']!r} repeats a value")
+        n_max = _at_least("n_max", values["n_max"], 1)
         policy = values.get("w_policy", "zero")
         if policy == "zero":
             w_extra = 0
         elif policy.startswith("sample:"):
-            w_extra = int(policy.split(":", 1)[1])
+            w_extra = _at_least("w_policy sample count", policy.split(":", 1)[1], 0)
         else:
             raise ValueError(f"bad w_policy {policy!r}")
+        strict = values.get("strict", "0")
+        if strict not in ("0", "1", "false", "true"):
+            raise ValueError(f"strict = {strict!r} is not 0, 1, false or true")
         return GridSpec(
             q_list=q_list,
             n_max=n_max,
             w_extra=w_extra,
             w_seed=int(values.get("w_seed", "0")),
-            t_max=int(values.get("t_max", "0")),
-            a_max=int(values.get("a_max", "0")),
-            strict_admissible=values.get("strict", "0") not in ("0", "false"),
+            t_max=_at_least("t_max", values.get("t_max", "0"), 0),
+            a_max=_at_least("a_max", values.get("a_max", "0"), 0),
+            strict_admissible=strict in ("1", "true"),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing config key {exc.args[0]}") from None

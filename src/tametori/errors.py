@@ -30,10 +30,6 @@ class NotTwoTorsion(TametoriError):
     """A Brauer class expected to be 2-torsion is not."""
 
 
-class CriterionViolation(TametoriError):
-    """A symmetric orbit fell outside the j in {0, f/2} dichotomy."""
-
-
 class UnramifiedViolation(TametoriError):
     """The bottom tower subfield E_0 does not make E/E_0 unramified."""
 

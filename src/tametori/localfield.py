@@ -86,13 +86,11 @@ class ExtensionModel:
     """
 
     params: ExtensionParams
-    p: int
     n: int
     f_L: int
     Q: int
     M: int
     w_L: int
-    w_e: int
     u_E: int
     sigma: GaloisElement
     phi: GaloisElement
@@ -169,13 +167,11 @@ def build_extension(params: ExtensionParams) -> ExtensionModel:
     gamma_E = tuple(GaloisElement(0, c) for c in range(0, f_L, f))
     return ExtensionModel(
         params=params,
-        p=p,
         n=e * f,
         f_L=f_L,
         Q=Q,
         M=M,
         w_L=w_L,
-        w_e=w_e,
         u_E=u_E,
         sigma=sigma,
         phi=phi,

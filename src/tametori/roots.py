@@ -4,7 +4,10 @@ The roots of the diagonal torus of GL_n restricted to E^x are indexed by the
 nontrivial double cosets Gal(L/E) \\ Gal(L/F) / Gal(L/E); alpha = [1; g] sends
 gamma to gamma / g(gamma).  Each orbit carries a canonical representative
 sigma^i phi^j (lexicographically least (i, j)), a symmetry class, and the
-residue data of the fields F_alpha = E.g(E) and F_{+-alpha}.
+residue data of the fields F_alpha = E.g(E) and F_{+-alpha}.  The class has
+one route, through stabilizers: an orbit is symmetric when some x sends alpha
+to -alpha, and symmetric ramified when F_alpha/F_{+-alpha} is ramified.  The
+tests compare it with the label criterion and with the materialized coset.
 
 j = c mod f is constant on a double coset and the pi_E-exponent a transforms
 by unit multiples q^c under coset moves, which is what makes the classification
@@ -19,13 +22,12 @@ from functools import lru_cache
 
 from .chartools import MuExponent
 from .csa import CsaParams, order_invariants
-from .errors import CriterionViolation, InvariantViolation
+from .errors import InvariantViolation
 from .localfield import (
     ExtensionModel,
     GaloisElement,
     compose,
     inverse,
-    power,
     subfield_invariants,
 )
 
@@ -38,7 +40,6 @@ __all__ = [
     "enumerate_orbits",
     "orbit_by_label",
     "orbit_with_rep",
-    "classify_by_criterion",
     "root_eval",
     "ord_contains",
 ]
@@ -184,26 +185,6 @@ def orbit_with_rep(X: ExtensionModel, orbit: RootOrbit, ij: tuple[int, int]) -> 
     if ij not in orbit.labels:
         raise KeyError(f"{ij} is not a label of orbit {orbit.ij}")
     return replace(orbit, rep=coset_element(X, *ij), ij=ij)
-
-
-def classify_by_criterion(X: ExtensionModel, orbit: RootOrbit) -> RootClass:
-    """Classification via the label criterion: symmetric orbits have
-    j in {0, f/2}; the symmetric ramified one is [sigma^{e/2}] (e even),
-    and j = f/2 forces symmetric unramified."""
-    g = orbit.rep
-    symmetric = double_coset_labels(X, inverse(X, g))[0] == orbit.ij
-    if not symmetric:
-        return RootClass.ASYMMETRIC
-    i, j = orbit.ij
-    if j != 0 and 2 * j != X.f:
-        raise CriterionViolation(f"symmetric orbit with j={j}, f={X.f}")
-    if j == 0:
-        if X.e % 2 == 0:
-            ram_ij = double_coset_labels(X, power(X, X.sigma, X.e // 2))[0]
-            if orbit.ij == ram_ij:
-                return RootClass.SYMMETRIC_RAMIFIED
-        return RootClass.SYMMETRIC_UNRAMIFIED
-    return RootClass.SYMMETRIC_UNRAMIFIED
 
 
 def root_eval(X: ExtensionModel, orbit: RootOrbit, u: int, v: int) -> MuExponent:

@@ -29,17 +29,9 @@ from tametori.csa import (
     split_algebra,
 )
 from tametori.errors import NotTwoTorsion
-from tametori.finmod import (
-    ModuleClass,
-    graded_piece,
-    symp_iso_criterion,
-    symp_iso_direct,
-    u_dim,
-    v_module,
-)
+from tametori.finmod import ModuleClass, symp_iso_direct, u_dim, v_module
 from tametori.identities import (
     Instance,
-    Side,
     epsilon_alpha,
     grid_algebras,
     grid_extension_params,
@@ -51,7 +43,6 @@ from tametori.identities import (
 from tametori.localfield import ExtensionParams, build_extension, radical_prime
 from tametori.roots import (
     RootClass,
-    classify_by_criterion,
     enumerate_orbits,
     orbit_by_label,
     orbit_with_rep,
@@ -60,6 +51,7 @@ from tametori.roots import (
 from tametori.tower import TowerShape, depth_index, enumerate_shapes, interval_subgroups
 
 from conftest import ACCEPT_GRID, model, shape_t0
+from oracles import classify_by_criterion, graded_piece, symp_iso_criterion
 
 
 def emit(k: int, ok: bool, detail: str) -> None:
@@ -402,9 +394,9 @@ def test_criterion_10_representative_independence():
             enumerate_shapes(X, ACCEPT_GRID.t_max, ACCEPT_GRID.a_max)
         )
         inst = Instance(X, A, shape)
-        for side in (Side.SPLIT, Side.GIVEN):
-            if epsilon_alpha(inst, orbit, side) != epsilon_alpha(inst, alt, side):
-                bad.append(("epsilon", params, orbit.ij, alt.ij, side))
+        for B in (split_algebra(X.n), A):
+            if epsilon_alpha(inst, orbit, B) != epsilon_alpha(inst, alt, B):
+                bad.append(("epsilon", params, orbit.ij, alt.ij, B))
         if zeta_restricted(inst, orbit) != zeta_restricted(inst, alt):
             bad.append(("zeta", params, orbit.ij, alt.ij))
         if orbit.symmetric and iota(inst, orbit) != iota(inst, alt):

@@ -169,6 +169,15 @@ def test_load_config_roundtrip(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "word,value", [("0", False), ("false", False), ("1", True), ("true", True)]
+)
+def test_load_config_strict_words(tmp_path, word, value):
+    path = write_config(tmp_path, f"q_list = 3,9\nn_max = 1\nstrict = {word}\n")
+    grid = load_config(path)
+    assert grid == GridSpec(q_list=(3, 9), n_max=1, strict_admissible=value)
+
+
 def test_load_config_defaults(tmp_path):
     path = write_config(tmp_path, "q_list = 3\nn_max = 2\n")
     grid = load_config(path)
@@ -183,12 +192,23 @@ def test_load_config_defaults(tmp_path):
         "q_list = 3\nn_max = 2\nw_policy = sometimes\n",
         "q_list 3\nn_max = 2\n",  # no equals sign
         "q_list =\nn_max = 2\n",  # empty value
+        "q_list = 3\nn_max = 2\nstrict = yes\n",
+        "q_list = 3\nn_max = -2\n",
+        "q_list = 3\nn_max = 0\n",
+        "q_list = 3\nn_max = 2\nt_max = -1\n",
+        "q_list = 3\nn_max = 2\na_max = -4\n",
+        "q_list = 3,3\nn_max = 2\n",  # a repeated q doubles the grid
+        "q_list = 3\nn_max = 2\nw_policy = sample:-1\n",
+        "q_list = 3,4\nn_max = 2\n",  # q=4 is even
+        "q_list = 3,6\nn_max = 2\n",  # q=6 is no prime power
+        "q_list = 3,1\nn_max = 2\n",
     ],
 )
-def test_bad_config_exits_2(capsys, tmp_path, text):
+def test_bad_config_exits_2(capsys, tmp_path, no_sweep, text):
     path = write_config(tmp_path, text)
-    code, _, err = run(capsys, "sweep", "--config", path)
-    assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "sweep", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):

@@ -6,20 +6,13 @@ import pytest
 
 from tametori.csa import CsaParams, order_invariants, split_algebra
 from tametori.errors import NotSymmetric
-from tametori.finmod import (
-    ModuleClass,
-    graded_piece,
-    symp_iso_criterion,
-    symp_iso_direct,
-    u_dim,
-    v_layer,
-    v_module,
-)
+from tametori.finmod import ModuleClass, symp_iso_direct, u_dim, v_module
 from tametori.localfield import inverse
 from tametori.roots import enumerate_orbits, orbit_by_label
 from tametori.tower import TowerShape, enumerate_shapes, interval_subgroups
 
 from conftest import model, shape_from_bottoms, shape_t0
+from oracles import graded_piece, symp_iso_criterion, v_layer
 
 
 def test_u_dim_frozen():

@@ -5,13 +5,12 @@ from __future__ import annotations
 import pytest
 
 from tametori.chartools import TRIVIAL_CHAR, TameQuadChar
-from tametori.csa import CsaParams
+from tametori.csa import CsaParams, split_algebra
 from tametori.errors import IotaIncoherence, NotSymmetric
 from tametori.identities import (
     GridSpec,
     Instance,
     Report,
-    Side,
     epsilon_alpha,
     epsilon_total,
     error_row,
@@ -49,8 +48,8 @@ def test_worked_example_3_1_2():
     (orbit,) = enumerate_orbits(inst.X)
     lhs = zeta_restricted(inst, orbit)
     assert lhs == TameQuadChar(-1, 1)
-    eps_split = epsilon_alpha(inst, orbit, Side.SPLIT)
-    eps_given = epsilon_alpha(inst, orbit, Side.GIVEN)
+    eps_split = epsilon_alpha(inst, orbit, split_algebra(inst.X.n))
+    eps_given = epsilon_alpha(inst, orbit, inst.A)
     assert eps_split == TRIVIAL_CHAR
     assert eps_given == TameQuadChar(-1, 1)
     report = verify_instance(inst)
@@ -76,8 +75,8 @@ def test_sym_ram_orbit_3_2_1():
     assert orbit.cls is RootClass.SYMMETRIC_RAMIFIED
     assert iota(inst, orbit) == -1
     assert zeta_restricted(inst, orbit) == TameQuadChar(1, -1)
-    assert epsilon_alpha(inst, orbit, Side.GIVEN) == TameQuadChar(1, -1)
-    assert epsilon_alpha(inst, orbit, Side.SPLIT) == TameQuadChar(1, 1)
+    assert epsilon_alpha(inst, orbit, inst.A) == TameQuadChar(1, -1)
+    assert epsilon_alpha(inst, orbit, split_algebra(inst.X.n)) == TameQuadChar(1, 1)
     report = verify_instance(inst)
     assert report.passed
     assert report.aggregate_lhs == TameQuadChar(1, -1)
@@ -253,8 +252,8 @@ def test_aggregate_equals_verdict_product():
                 report = verify_instance(inst)
                 assert report.aggregate_lhs == nu_zeta_total(inst)
                 assert report.aggregate_rhs == epsilon_total(
-                    inst, Side.SPLIT
-                ) * epsilon_total(inst, Side.GIVEN)
+                    inst, split_algebra(X.n)
+                ) * epsilon_total(inst, A)
                 checked += 1
                 nontrivial += report.aggregate_lhs != TRIVIAL_CHAR
     assert checked == sweep(grid).instances
@@ -277,9 +276,9 @@ def test_epsilon_gate_opens_per_side(monkeypatch):
         return _real(Q, x)
 
     monkeypatch.setattr(ct, "legendre_kx", counting_kx)
-    assert epsilon_alpha(inst, pair, Side.SPLIT) == TRIVIAL_CHAR
+    assert epsilon_alpha(inst, pair, split_algebra(inst.X.n)) == TRIVIAL_CHAR
     assert calls == []  # gate closed: no symbol evaluated
-    eps_given = epsilon_alpha(inst, pair, Side.GIVEN)
+    eps_given = epsilon_alpha(inst, pair, inst.A)
     assert calls == [81, 81]  # gate open: both generators evaluated
     assert eps_given == TameQuadChar(1, 1)  # values happen to be trivial here
     assert verify_instance(inst).passed

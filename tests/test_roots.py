@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tametori.csa import CsaParams
-from tametori.errors import CriterionViolation
-from tametori.localfield import compose, enumerate_group, inverse
+from tametori.identities import grid_extension_params
+from tametori.localfield import build_extension, compose, enumerate_group, inverse
 from tametori.roots import (
     RootClass,
-    classify_by_criterion,
     coset_element,
     double_coset_labels,
     enumerate_orbits,
@@ -24,7 +23,8 @@ from tametori.roots import (
     root_eval,
 )
 
-from conftest import model
+from conftest import ACCEPT_GRID, model
+from oracles import CriterionViolation, classify_by_criterion, classify_elementwise
 
 MODELS = [
     (3, 1, 2, 0),
@@ -162,6 +162,21 @@ def test_classification_routes_agree(params):
     X = model(*params)
     for o in enumerate_orbits(X):
         assert classify_by_criterion(X, o) == o.cls
+        assert classify_elementwise(X, o) == o.cls
+
+
+def test_three_classification_routes_agree_on_accept_grid():
+    """The stabilizer route (o.cls), the label criterion and the elementwise
+    route on the materialized double coset agree on every orbit of every
+    field of the acceptance grid."""
+    checked = 0
+    for params in grid_extension_params(ACCEPT_GRID):
+        X = build_extension(params)
+        for o in enumerate_orbits(X):
+            assert classify_elementwise(X, o) is o.cls, (params, o.ij)
+            assert classify_by_criterion(X, o) is o.cls, (params, o.ij)
+            checked += 1
+    assert checked == 978
 
 
 @pytest.mark.parametrize("params", MODELS)

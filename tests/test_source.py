@@ -33,3 +33,53 @@ def test_all_exports_resolve(path):
     exports = getattr(module, "__all__", ())
     missing = [name for name in exports if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names missing {missing}"
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def _tametori_modules():
+    return [
+        importlib.import_module("tametori" if p.stem == "__init__" else f"tametori.{p.stem}")
+        for p in SRC
+    ]
+
+
+def test_oracles_live_only_in_tests():
+    """A second route kept in tests/oracles.py has no twin of the same name in
+    the package, so the library holds one route per concept."""
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert defined
+    clashes = [
+        (module.__name__, name)
+        for module in _tametori_modules()
+        for name in defined
+        if hasattr(module, name)
+    ]
+    assert not clashes, f"oracles also defined in the package: {clashes}"
+
+
+def test_oracles_use_public_names_only():
+    """The oracles import no _-prefixed tametori name and read no _-prefixed
+    attribute, so a second route cannot borrow the first route's internals."""
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
+    private = [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tametori")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+    ]
+    assert not private, f"oracles.py reaches private names: {private}"
