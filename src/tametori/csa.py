@@ -85,7 +85,7 @@ def order_invariants(X: ExtensionModel, A: CsaParams) -> OrderInvariants:
 
 @lru_cache(maxsize=None)
 def centralizer_invariants(
-    X: ExtensionModel, A: CsaParams, H: tuple
+    X: ExtensionModel, A: CsaParams, H: frozenset
 ) -> tuple[int, int, int]:
     """(m_k, d_k, e(A_k/O_E)) for the centralizer A_k of the subfield E_k fixed
     by a tower subgroup H containing Gal(L/E).
@@ -95,7 +95,7 @@ def centralizer_invariants(
     """
     if A.n != X.n:
         raise DimensionMismatch(f"m*d={A.n} but e*f={X.n}")
-    if not set(X.gamma_E) <= set(H):
+    if not X.gamma_E.issubset(H):
         raise NotASubgroup("tower subgroup must contain Gal(L/E)")
     e_k, f_k = subfield_invariants(X, H)
     deg = e_k * f_k

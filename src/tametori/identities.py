@@ -244,7 +244,10 @@ def verify_instance(inst: Instance) -> Report:
 @dataclass(frozen=True)
 class GridSpec:
     """Sweep universe: residue cardinalities, torus degree bound, nonzero-w
-    sampling, tower bounds, and the admissibility filter."""
+    sampling, tower bounds, and the admissibility filter.
+
+    A q that is not an odd prime power or repeats, n_max < 1, or a negative
+    w_extra, t_max or a_max raises ValueError."""
 
     q_list: tuple[int, ...]
     n_max: int
@@ -253,6 +256,16 @@ class GridSpec:
     t_max: int = 0
     a_max: int = 0
     strict_admissible: bool = False
+
+    def __post_init__(self):
+        for q in self.q_list:
+            if radical_prime(q) == 2:
+                raise ValueError(f"q={q} must be odd")
+        if len(set(self.q_list)) != len(self.q_list):
+            raise ValueError(f"q_list {self.q_list} repeats a value")
+        for name, low in (("n_max", 1), ("w_extra", 0), ("t_max", 0), ("a_max", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} = {getattr(self, name)} is below {low}")
 
 
 @dataclass(frozen=True)

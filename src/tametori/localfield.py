@@ -28,7 +28,6 @@ __all__ = [
     "build_extension",
     "compose",
     "inverse",
-    "power",
     "enumerate_group",
     "inertia_order",
     "subgroup_closure",
@@ -81,7 +80,7 @@ class ExtensionModel:
     """Derived data of the splitting field L and the group Gal(L/F).
 
     M = Q - 1 is the order of mu_L.  sigma generates inertia, phi lifts the
-    residue Frobenius, and gamma_E lists Gal(L/E) (sorted).  qpow[c] = q^c mod M
+    residue Frobenius, and gamma_E is the subgroup Gal(L/E).  qpow[c] = q^c mod M
     and spow[j] = 1 + q + ... + q^{j-1} are lookup tables used everywhere.
     """
 
@@ -94,7 +93,7 @@ class ExtensionModel:
     u_E: int
     sigma: GaloisElement
     phi: GaloisElement
-    gamma_E: tuple[GaloisElement, ...]
+    gamma_E: frozenset[GaloisElement]
     qpow: tuple[int, ...]
     spow: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
@@ -164,7 +163,7 @@ def build_extension(params: ExtensionParams) -> ExtensionModel:
     spow = tuple((q**j - 1) // (q - 1) for j in range(f))
     sigma = GaloisElement((M // e) % M, 0)
     phi = GaloisElement((w_e * (q - 1)) % M, 1 % f_L)
-    gamma_E = tuple(GaloisElement(0, c) for c in range(0, f_L, f))
+    gamma_E = frozenset(GaloisElement(0, c) for c in range(0, f_L, f))
     return ExtensionModel(
         params=params,
         n=e * f,
@@ -189,15 +188,6 @@ def compose(X: ExtensionModel, g: GaloisElement, h: GaloisElement) -> GaloisElem
 def inverse(X: ExtensionModel, g: GaloisElement) -> GaloisElement:
     c = (-g.c) % X.f_L
     return GaloisElement((-g.a * X.qpow[c]) % X.M, c)
-
-
-def power(X: ExtensionModel, g: GaloisElement, k: int) -> GaloisElement:
-    if k < 0:
-        return power(X, inverse(X, g), -k)
-    out = GaloisElement(0, 0)
-    for _ in range(k):
-        out = compose(X, out, g)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -250,10 +240,10 @@ def _generate(X: ExtensionModel, gens):
             done.append(g)
 
 
-def subgroup_closure(X: ExtensionModel, gens) -> tuple[GaloisElement, ...]:
-    """Subgroup generated by gens, as a sorted tuple."""
+def subgroup_closure(X: ExtensionModel, gens) -> frozenset[GaloisElement]:
+    """Subgroup generated by gens."""
     *_, closed = _generate(X, gens)
-    return tuple(sorted(closed))
+    return frozenset(closed)
 
 
 def is_subgroup(X: ExtensionModel, H) -> bool:
@@ -264,7 +254,7 @@ def is_subgroup(X: ExtensionModel, H) -> bool:
     as it does.  Each growth at least doubles the set, so a subgroup takes
     O(|H| log |H|) composes, not |H|^2.
     """
-    S = set(H)
+    S = frozenset(H)
     return all(len(closed) <= len(S) for closed in _generate(X, sorted(S)))
 
 
@@ -275,17 +265,19 @@ def subfield_invariants(X: ExtensionModel, H) -> tuple[int, int]:
     stabilizers need the general case.  L/M is tame, so its inertia is H
     intersected with the inertia of L/F and both indices come from counting.
     """
+    H = frozenset(H)
     if not is_subgroup(X, H):
-        raise NotASubgroup(f"{tuple(H)!r} is not closed")
+        raise NotASubgroup(f"{sorted(H)!r} is not closed")
     i = inertia_order(X, H)
-    if X.e % i or (X.f_L * i) % len(set(H)):
-        raise NotASubgroup(f"inertia {i} incompatible with {tuple(H)!r}")
-    return X.e // i, (X.f_L * i) // len(set(H))
+    if X.e % i or (X.f_L * i) % len(H):
+        raise NotASubgroup(f"inertia {i} incompatible with {sorted(H)!r}")
+    return X.e // i, (X.f_L * i) // len(H)
 
 
 @lru_cache(maxsize=None)
-def interval_subgroups(X: ExtensionModel) -> tuple[tuple[GaloisElement, ...], ...]:
-    """All subgroups H with Gal(L/E) <= H <= Gal(L/F), sorted by (order, elements).
+def interval_subgroups(X: ExtensionModel) -> tuple[frozenset[GaloisElement], ...]:
+    """All subgroups H with Gal(L/E) <= H <= Gal(L/F), sorted by (order, sorted
+    elements).
 
     BFS over generator extensions, each grown from H itself.  <H, g> =
     <H, h g gamma> for h in H and gamma in Gal(L/E), so H is extended by one
@@ -308,9 +300,9 @@ def interval_subgroups(X: ExtensionModel) -> tuple[tuple[GaloisElement, ...], ..
             if g in done:
                 continue
             *_, grown = _grow(X, set(H), gens, g)
-            H2 = tuple(sorted(grown))
+            H2 = frozenset(grown)
             if H2 not in found:
                 found[H2] = gens + (g,)
                 queue.append(H2)
             done.update(GaloisElement(y.a, y.c % X.f) for y in (compose(X, h, g) for h in H))
-    return tuple(sorted(found, key=lambda H: (len(H), H)))
+    return tuple(sorted(found, key=lambda H: (len(H), sorted(H))))

@@ -110,15 +110,10 @@ def _stabilizer_data(X: ExtensionModel, g: GaloisElement):
     """(Gamma_alpha, swap) for alpha = [1; g]: the stabilizer of alpha inside
     Gal(L/E) x-conjugation, and the set of x sending alpha to -alpha."""
     g_inv = inverse(X, g)
-    gamma_set = set(X.gamma_E)
-    stab = tuple(
-        h for h in X.gamma_E if compose(X, compose(X, g_inv, h), g) in gamma_set
-    )
-    swap = tuple(
-        x
-        for h in X.gamma_E
-        for x in (compose(X, g, h),)
-        if compose(X, x, g) in gamma_set
+    gamma = X.gamma_E
+    stab = frozenset(h for h in gamma if compose(X, compose(X, g_inv, h), g) in gamma)
+    swap = frozenset(
+        x for h in gamma for x in (compose(X, g, h),) if compose(X, x, g) in gamma
     )
     return stab, swap
 
@@ -133,7 +128,7 @@ def _build_orbit(X: ExtensionModel, labels: tuple[tuple[int, int], ...]) -> Root
     e_alpha, f_alpha = subfield_invariants(X, stab)
     fpm = q_pm = n_pm = None
     if swap:
-        fpm = subfield_invariants(X, tuple(sorted(set(stab) | set(swap))))
+        fpm = subfield_invariants(X, stab | swap)
         q_pm = X.q ** fpm[1]
         n_pm = fpm[0] * fpm[1]
         cls = (

@@ -14,7 +14,7 @@ whole layer vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -47,28 +47,23 @@ __all__ = [
     "parse_selector",
 ]
 
-Subgroup = tuple[GaloisElement, ...]
+Subgroup = frozenset[GaloisElement]
 
 
 @dataclass(frozen=True)
 class TowerShape:
     """subgroups = (H_0, ..., H_t) with H_t = Gal(L/F); levels = (a_0, ..., a_{t-1}).
 
-    The hash and members (one frozenset per subgroup, for membership tests)
-    are computed once: the shape keys the per-orbit caches.
+    Each subgroup is stored as a frozenset; one that already is one is kept
+    as is, so the shapes of one chain share their subgroups and the hash each
+    frozenset caches.
     """
 
     subgroups: tuple[Subgroup, ...]
     levels: tuple[int, ...]
-    members: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(map(frozenset, self.subgroups)))
-        object.__setattr__(self, "_hash", hash((self.subgroups, self.levels)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "subgroups", tuple(map(frozenset, self.subgroups)))
 
     @property
     def t(self) -> int:
@@ -86,21 +81,19 @@ def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
         raise NonStrictTower(
             f"need t+1={shape.t + 1} subgroups, got {len(shape.subgroups)}"
         )
-    gamma = set(X.gamma_E)
-    sets = shape.members
-    for H, members in zip(shape.subgroups, sets):
+    subs = shape.subgroups
+    for H in subs:
         if not is_subgroup(X, H):
-            raise NotASubgroup(f"{H!r} is not closed")
-        if not gamma <= members:
-            raise NotASubgroup(f"{H!r} does not contain Gal(L/E)")
-    if len(sets[-1]) != X.e * X.f_L:
+            raise NotASubgroup(f"{sorted(H)!r} is not closed")
+        if not X.gamma_E <= H:
+            raise NotASubgroup(f"{sorted(H)!r} does not contain Gal(L/E)")
+    if len(subs[-1]) != X.e * X.f_L:
         raise NotASubgroup("top of the chain must be all of Gal(L/F)")
-    if shape.t >= 1 and inertia_order(X, shape.subgroups[0]) != 1:
+    if shape.t >= 1 and inertia_order(X, subs[0]) != 1:
         raise UnramifiedViolation("E/E_0 must be unramified (trivial inertia)")
-    for k in range(shape.t):
-        if not sets[k] < sets[k + 1]:
-            low, high = shape.subgroups[k], shape.subgroups[k + 1]
-            raise NonStrictTower(f"{low!r} not strictly inside {high!r}")
+    for low, high in zip(subs, subs[1:]):
+        if not low < high:
+            raise NonStrictTower(f"{sorted(low)!r} not strictly inside {sorted(high)!r}")
     if any(a <= 0 for a in shape.levels):
         raise NonIncreasingLevels(f"levels {shape.levels} must be positive")
     if any(a >= b for a, b in zip(shape.levels, shape.levels[1:])):
@@ -124,21 +117,21 @@ def enumerate_shapes(
     shapes = [TowerShape(subgroups=(full,), levels=())]
     validate_shape(X, shapes[0])
     # every interval subgroup lies in full; the proper ones are all but the last
-    proper = [(H, frozenset(H)) for H in subs[:-1]]
+    proper = subs[:-1]
     for t in range(1, max_t + 1):
         chains: list[tuple[Subgroup, ...]] = []
 
-        def grow(chain: tuple[Subgroup, ...], top: frozenset) -> None:
+        def grow(chain: tuple[Subgroup, ...]) -> None:
             if len(chain) == t:
                 chains.append(chain + (full,))
                 return
-            for H, members in proper:
-                if top < members:
-                    grow(chain + (H,), members)
+            for H in proper:
+                if chain[-1] < H:
+                    grow(chain + (H,))
 
-        for H0, members in proper:
+        for H0 in proper:
             if inertia_order(X, H0) == 1:
-                grow((H0,), members)
+                grow((H0,))
         for chain in chains:
             chain_shapes = [
                 TowerShape(subgroups=chain, levels=levels)
@@ -159,11 +152,11 @@ def depth_index(X: ExtensionModel, shape: TowerShape, g: GaloisElement) -> int:
     Constant on double cosets and under inversion, because every H_k contains
     Gal(L/E) and is closed under inverses.
     """
-    sets = shape.members
-    if g in sets[0]:
+    subs = shape.subgroups
+    if g in subs[0]:
         return -1
     for k in range(shape.t):
-        if g in sets[k + 1]:
+        if g in subs[k + 1]:
             return k
     raise NotASubgroup(f"{g!r} outside the top of the chain")
 
@@ -194,7 +187,7 @@ def subgroup_selector(X: ExtensionModel, H: Subgroup) -> str:
     e_M, f_M = subfield_invariants(X, H)
     deg = e_M * f_M
     peers = [S for S in subs if len(S) == len(H)]
-    return f"{deg}.{peers.index(tuple(sorted(H)))}"
+    return f"{deg}.{peers.index(frozenset(H))}"
 
 
 def parse_selector(X: ExtensionModel, token: str) -> Subgroup:

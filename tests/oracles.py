@@ -10,7 +10,7 @@ from __future__ import annotations
 from tametori.csa import CsaParams, order_invariants
 from tametori.errors import NotSymmetric, TametoriError
 from tametori.finmod import ModuleClass, v_module
-from tametori.localfield import ExtensionModel, GaloisElement, compose, inverse, power
+from tametori.localfield import ExtensionModel, GaloisElement, compose, inverse
 from tametori.roots import RootClass, RootOrbit, double_coset_labels, enumerate_orbits
 from tametori.tower import TowerShape, depth_index, jump_data
 
@@ -18,6 +18,7 @@ __all__ = [
     "CriterionViolation",
     "classify_by_criterion",
     "classify_elementwise",
+    "power",
     "graded_piece",
     "v_layer",
     "symp_iso_criterion",
@@ -26,6 +27,16 @@ __all__ = [
 
 class CriterionViolation(TametoriError):
     """A symmetric orbit fell outside the j in {0, f/2} dichotomy."""
+
+
+def power(X: ExtensionModel, g: GaloisElement, k: int) -> GaloisElement:
+    """g^k by repeated compose (k < 0 through inverse)."""
+    if k < 0:
+        return power(X, inverse(X, g), -k)
+    out = GaloisElement(0, 0)
+    for _ in range(k):
+        out = compose(X, out, g)
+    return out
 
 
 def classify_by_criterion(X: ExtensionModel, orbit: RootOrbit) -> RootClass:

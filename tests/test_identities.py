@@ -154,6 +154,25 @@ def test_grid_extension_params_deterministic():
     assert changed != a
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(q_list=(3, 3), n_max=2),  # plan used to count 6 params, not 3
+        dict(q_list=(3,), n_max=2, t_max=-1),  # plan used to count 5 instances
+        dict(q_list=(3, 4), n_max=2),  # no prime power
+        dict(q_list=(9, 2), n_max=2),  # even
+        dict(q_list=(3,), n_max=0),
+        dict(q_list=(3,), n_max=2, w_extra=-1),
+        dict(q_list=(3,), n_max=2, a_max=-1),
+    ],
+)
+def test_gridspec_rejects_malformed_grids(kwargs):
+    """Every route to a sweep (the config file, a library caller) gets the
+    same checks, before any planning."""
+    with pytest.raises(ValueError):
+        GridSpec(**kwargs)
+
+
 def test_mini_sweep_passes():
     grid = GridSpec(q_list=(3, 5), n_max=4, w_extra=0, t_max=1, a_max=4)
     summary = sweep(grid)

@@ -22,6 +22,8 @@ from tametori.localfield import (
     inertia_order,
     interval_subgroups,
     inverse,
+    subfield_invariants,
+    subgroup_closure,
 )
 from tametori.roots import enumerate_orbits
 from tametori.tower import (
@@ -74,7 +76,7 @@ def test_validate_structural_errors():
     with pytest.raises(NotASubgroup):
         validate_shape(X, TowerShape(subgroups=(X.gamma_E,), levels=()))
     with pytest.raises(NotASubgroup):
-        not_closed = (X.gamma_E[0], X.sigma, full[3])
+        not_closed = (sorted(X.gamma_E)[0], X.sigma, sorted(full)[3])
         validate_shape(X, TowerShape(subgroups=(not_closed, full), levels=(1,)))
     with pytest.raises(NonIncreasingLevels):
         validate_shape(X, TowerShape(subgroups=(X.gamma_E, full), levels=(0,)))
@@ -217,6 +219,7 @@ def test_selector_roundtrip():
         for H in interval_subgroups(X):
             token = subgroup_selector(X, H)
             assert parse_selector(X, token) == H
+            assert subgroup_selector(X, sorted(H, reverse=True)) == token
         assert parse_selector(X, "E") == X.gamma_E
         assert parse_selector(X, "F") == interval_subgroups(X)[-1]
 
@@ -259,14 +262,49 @@ def test_equal_shapes_share_hash_and_depth_cache_entry():
         twin = TowerShape(subgroups=subgroups, levels=tuple(list(shape.levels)))
         assert twin == shape and twin is not shape
         assert hash(twin) == hash(shape)
-        assert twin.members == shape.members
-        assert "members" not in repr(twin)
+        assert all(type(H) is frozenset for H in twin.subgroups)
+        assert twin.subgroups == shape.subgroups
         depth_index(X, shape, g)
         before = depth_index.cache_info()
         assert depth_index(X, twin, g) == depth_index(X, shape, g)
         after = depth_index.cache_info()
         assert after.currsize == before.currsize
         assert after.hits == before.hits + 2
+
+
+def test_library_subgroups_are_frozensets():
+    """A subgroup has one representation: every one the library hands out is
+    a frozenset."""
+    for params in [(3, 1, 4, 0), (5, 2, 2, 0), (3, 4, 2, 5), (7, 6, 1, 3)]:
+        X = model(*params)
+        subs = interval_subgroups(X)
+        handed_out = [X.gamma_E, subgroup_closure(X, (X.sigma, X.phi)), *subs]
+        handed_out += [parse_selector(X, subgroup_selector(X, H)) for H in subs]
+        handed_out += [parse_selector(X, token) for token in ("E", "F")]
+        handed_out += [H for shape in enumerate_shapes(X, 2, 3) for H in shape.subgroups]
+        assert all(type(H) is frozenset for H in handed_out), params
+
+
+def test_shapes_of_one_chain_share_their_subgroups():
+    """Every shape holds the lattice's own subgroup objects, so the shapes of
+    one chain share them (and the hash each caches)."""
+    X = model(3, 1, 4)
+    lattice = {id(H) for H in interval_subgroups(X)}
+    shapes = enumerate_shapes(X, 2, 3)
+    assert len(shapes) > len({s.subgroups for s in shapes})  # chains repeat
+    assert all(id(H) in lattice for s in shapes for H in s.subgroups)
+
+
+def test_not_a_subgroup_message_is_sorted():
+    X = model(5, 2, 2)
+    not_closed = sorted({X.sigma, X.phi, *X.gamma_E}, reverse=True)
+    full = full_group(X)
+    with pytest.raises(NotASubgroup) as info:
+        subfield_invariants(X, not_closed)
+    assert str(info.value) == f"{sorted(not_closed)!r} is not closed"
+    with pytest.raises(NotASubgroup) as info:
+        validate_shape(X, TowerShape(subgroups=(not_closed, full), levels=(1,)))
+    assert str(info.value) == f"{sorted(not_closed)!r} is not closed"
 
 
 def test_shape_pickle_roundtrip():
