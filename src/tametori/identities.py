@@ -9,14 +9,16 @@ twice, gated once by the split algebra and once by the given one.  Each
 primary orbit is verified once; the aggregate characters of an instance are
 the products of its per-orbit verdicts, so the instance passes when every
 per-orbit identity holds.  A mismatch is data in the report, never an
-exception.  nu_zeta_total and epsilon_total compute the aggregates on their
-own, as the factorization oracle the tests compare the verdict products
-with; they stay in the library while the benchmark traces them.
+exception.  nu_zeta_total and epsilon_total multiply the per-orbit characters
+without a report, as the factorization check the tests compare the verdict
+products with; they stay in the library while the benchmark traces them.
+Every per-orbit function is a FieldPass kernel, which does once per field
+(or per shape) all the work the algebra does not change.
 
-sweep() runs verify_instance over a parameter grid and collects failures in
-replayable coordinate rows; an instance whose check raises a TametoriError is
-a failure row too, and the sweep goes on.  plan() gives sweep's counts
-without verifying.
+sweep() runs verify_instance, with one pass per field, over a parameter grid
+and collects failures in replayable coordinate rows; an instance whose check
+raises a TametoriError is a failure row too, and the sweep goes on.  plan()
+gives sweep's counts without verifying.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from typing import NamedTuple
 
 from . import chartools, finmod, tower
 from .chartools import TRIVIAL_CHAR, TameQuadChar
@@ -44,6 +47,7 @@ from .tower import TowerShape, subgroup_selector
 
 __all__ = [
     "Instance",
+    "FieldPass",
     "OrbitVerdict",
     "Report",
     "GridSpec",
@@ -68,8 +72,7 @@ class Instance:
     shape: TowerShape
 
 
-@dataclass(frozen=True)
-class OrbitVerdict:
+class OrbitVerdict(NamedTuple):
     """Per-orbit (or per asymmetric pair) comparison; lhs is the zeta side."""
 
     ij: tuple[int, int]
@@ -105,49 +108,118 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
 
-def _is_primary(orbit: RootOrbit) -> bool:
-    """Asymmetric pairs are visited once, at the smaller canonical label."""
-    return orbit.symmetric or orbit.ij < orbit.partner_ij
+class ShapeRow(NamedTuple):
+    """Per orbit of a shape: depth, split-form class and epsilon; halves[k] = a_k / 2e."""
+
+    depths: list[int]
+    halves: list[Fraction]
+    split_classes: list[finmod.ModuleClass]
+    split_eps: list[TameQuadChar]
+
+
+class FieldPass:
+    """The checks of one field's instances, sharing what the algebra does not
+    change: per orbit (by default the primary ones, an asymmetric pair once)
+    the symbol and sign characters, evaluated on first need, and per shape a
+    ShapeRow.  A pass lives inside one call and reads iota, the chartools
+    symbols and finmod.v_module as module attributes when it runs."""
+
+    def __init__(self, X: ExtensionModel, orbits: tuple[RootOrbit, ...] | None = None):
+        self.X = X
+        primary = (o for o in enumerate_orbits(X) if o.symmetric or o.ij < o.partner_ij)
+        self.orbits = tuple(primary) if orbits is None else orbits
+        self._chars: dict[tuple[int, object], TameQuadChar] = {}
+        self._rows: dict[TowerShape, ShapeRow] = {}
+
+    def _char(self, i: int, symbol) -> TameQuadChar:
+        """gamma -> symbol(orbit, alpha(gamma)) for orbit i, on zeta_E and pi_E."""
+        char = self._chars.get((i, symbol))
+        if char is None:
+            o, X = self.orbits[i], self.X
+            values = (symbol(o, root_eval(X, o, 1, 0)), symbol(o, root_eval(X, o, 0, 1)))
+            char = self._chars[i, symbol] = TameQuadChar(*values)
+        return char
+
+    def row(self, shape: TowerShape) -> ShapeRow:
+        row = self._rows.get(shape)
+        if row is None:
+            X, S = self.X, split_algebra(self.X.n)
+            row = ShapeRow(
+                [tower.depth_index(X, shape, o.rep) for o in self.orbits],
+                [Fraction(a, 2 * X.e) for a in shape.levels],
+                [finmod.v_module(X, S, shape, o.rep) for o in self.orbits],
+                [],
+            )
+            row.split_eps.extend(self.epsilon(i, row, S) for i in range(len(self.orbits)))
+            self._rows[shape] = row
+        return row
+
+    def epsilon(self, i: int, row: ShapeRow, B: CsaParams) -> TameQuadChar:
+        """The epsilon character of orbit i in row's shape for B, the gating
+        algebra (the split form or inst.A).  Symmetric ramified orbits give
+        gamma -> sign^{v_E(gamma)} with B's Brauer 2-torsion sign, whatever
+        the tower; all others give their symbol character when the half-level
+        of their layer lies in ord(alpha) of B's principal order."""
+        o, k = self.orbits[i], row.depths[i]
+        if o.cls is RootClass.SYMMETRIC_RAMIFIED:
+            return TameQuadChar(1, brauer_torsion_sign(B, o.n_pm))
+        if k == -1 or not ord_contains(self.X, B, o, row.halves[k]):
+            return TRIVIAL_CHAR
+        return self._char(i, _symbol)
+
+    def zeta(self, i: int, row: ShapeRow, inst: Instance) -> TameQuadChar:
+        """The zeta-side character of orbit i in inst (row is the row of
+        inst.shape), restricted to E^x.  Asymmetric: the sign character raised
+        to the number of sides (A, split form) whose module class is U.
+        Symmetric with isomorphic modules (equal classes): the t-factors cancel
+        and the value on pi_E is iota; an unramified orbit is trivial at depth
+        -1, where both modules vanish, and must have iota = +1 at depth >= 0
+        (IotaIncoherence otherwise).  Symmetric non-isomorphic (only
+        unramified, m odd): the k^1 symbol character."""
+        o, split_class = self.orbits[i], row.split_classes[i]
+        given = finmod.v_module(self.X, inst.A, inst.shape, o.rep)
+        if o.cls is RootClass.ASYMMETRIC:
+            u_sides = (given is finmod.ModuleClass.U) + (split_class is finmod.ModuleClass.U)
+            return self._char(i, _sign) if u_sides == 1 else TRIVIAL_CHAR  # a sign squared is 1
+        if given != split_class:
+            if o.cls is not RootClass.SYMMETRIC_UNRAMIFIED:
+                raise InvariantViolation(
+                    f"symmetric ramified orbit {o.ij}: module classes differ across sides"
+                )
+            return self._char(i, _symbol)
+        if o.cls is RootClass.SYMMETRIC_RAMIFIED:
+            return TameQuadChar(1, iota(inst, o))
+        if row.depths[i] == -1:
+            return TRIVIAL_CHAR
+        sign = iota(inst, o)
+        if sign != 1:
+            raise IotaIncoherence(f"iota={sign} on isomorphic symmetric unramified orbit {o.ij}")
+        return TameQuadChar(1, sign)
+
+
+def _symbol(orbit: RootOrbit, x) -> int:
+    """The k^x symbol of an asymmetric orbit, the k^1 symbol of a symmetric one."""
+    if orbit.cls is RootClass.ASYMMETRIC:
+        return chartools.legendre_kx(orbit.Q_alpha, x)
+    return chartools.legendre_k1(orbit.Q_alpha, orbit.q_pm, x)
+
+
+def _sign(orbit: RootOrbit, x) -> int:
+    return chartools.perm_sign(orbit.Q_alpha, x)
 
 
 def epsilon_alpha(inst: Instance, orbit: RootOrbit, B: CsaParams) -> TameQuadChar:
-    """The epsilon character of one orbit for B, the gating algebra (the
-    split form or inst.A).
-
-    Symmetric ramified orbits contribute the toral-invariant character
-    gamma -> sign^{v_E(gamma)} with B's Brauer 2-torsion sign,
-    independently of the tower.  All other orbits are gated by the layer
-    membership r_k/2 in ord(alpha) of B's principal order and
-    contribute a k^x symbol (asymmetric) or a k^1 symbol (symmetric
-    unramified) at alpha(zeta_E) and alpha(pi_E).
-    """
-    X = inst.X
-    if orbit.cls is RootClass.SYMMETRIC_RAMIFIED:
-        return TameQuadChar(1, brauer_torsion_sign(B, orbit.n_pm))
-    k = tower.depth_index(X, inst.shape, orbit.rep)
-    if k == -1:
-        return TRIVIAL_CHAR
-    r_half = Fraction(inst.shape.levels[k], 2 * X.e)
-    if not ord_contains(X, B, orbit, r_half):
-        return TRIVIAL_CHAR
-    x_unit = root_eval(X, orbit, 1, 0)
-    x_pi = root_eval(X, orbit, 0, 1)
-    if orbit.cls is RootClass.ASYMMETRIC:
-        return TameQuadChar(
-            chartools.legendre_kx(orbit.Q_alpha, x_unit),
-            chartools.legendre_kx(orbit.Q_alpha, x_pi),
-        )
-    return TameQuadChar(
-        chartools.legendre_k1(orbit.Q_alpha, orbit.q_pm, x_unit),
-        chartools.legendre_k1(orbit.Q_alpha, orbit.q_pm, x_pi),
-    )
+    """FieldPass.epsilon for one orbit of inst and the gating algebra B."""
+    P = FieldPass(inst.X, (orbit,))
+    return P.epsilon(0, P.row(inst.shape), B)
 
 
 def epsilon_total(inst: Instance, B: CsaParams) -> TameQuadChar:
-    """Product of epsilon_alpha for the gating algebra B over asymmetric pairs
-    (once per pair) and symmetric orbits."""
-    orbits = filter(_is_primary, enumerate_orbits(inst.X))
-    return prod((epsilon_alpha(inst, o, B) for o in orbits), start=TRIVIAL_CHAR)
+    """Product of the epsilon characters for the gating algebra B over
+    asymmetric pairs (once per pair) and symmetric orbits."""
+    P = FieldPass(inst.X)
+    row = P.row(inst.shape)
+    return prod((P.epsilon(i, row, B) for i in range(len(P.orbits))), start=TRIVIAL_CHAR)
 
 
 def iota(inst: Instance, orbit: RootOrbit) -> int:
@@ -165,78 +237,33 @@ def iota(inst: Instance, orbit: RootOrbit) -> int:
 
 
 def zeta_restricted(inst: Instance, orbit: RootOrbit) -> TameQuadChar:
-    """The zeta-side character of one orbit, restricted to E^x.
-
-    Asymmetric: the pair product, a permutation sign of the alpha(gamma)
-    action for each side whose module class is U, i.e. that sign raised to
-    the number of such sides.  Symmetric with isomorphic modules: the
-    t-factors cancel and the value on pi_E is iota (trivial on units); at
-    depth -1 both modules vanish and the character is trivial outright, while
-    at depth >= 0 a symmetric unramified orbit must have iota = +1
-    (IotaIncoherence otherwise).  Symmetric non-isomorphic (only
-    unramified, m odd): k^1 symbols on both generators.
-    """
-    X, A, shape = inst.X, inst.A, inst.shape
-    if orbit.cls is RootClass.ASYMMETRIC:
-        u_sides = sum(
-            finmod.v_module(X, B, shape, orbit.rep) is finmod.ModuleClass.U
-            for B in (A, split_algebra(X.n))
-        )
-        if not u_sides:
-            return TRIVIAL_CHAR
-        return TameQuadChar(
-            chartools.perm_sign(orbit.Q_alpha, root_eval(X, orbit, 1, 0)) ** u_sides,
-            chartools.perm_sign(orbit.Q_alpha, root_eval(X, orbit, 0, 1)) ** u_sides,
-        )
-    iso = finmod.symp_iso_direct(X, A, shape, orbit)
-    if iso:
-        if orbit.cls is RootClass.SYMMETRIC_RAMIFIED:
-            return TameQuadChar(1, iota(inst, orbit))
-        if tower.depth_index(X, shape, orbit.rep) == -1:
-            return TRIVIAL_CHAR
-        sign = iota(inst, orbit)
-        if sign != 1:
-            raise IotaIncoherence(
-                f"iota={sign} on isomorphic symmetric unramified orbit {orbit.ij}"
-            )
-        return TameQuadChar(1, sign)
-    if orbit.cls is not RootClass.SYMMETRIC_UNRAMIFIED:
-        raise InvariantViolation(
-            f"symmetric ramified orbit {orbit.ij}: module classes differ across sides"
-        )
-    x_unit = root_eval(X, orbit, 1, 0)
-    x_pi = root_eval(X, orbit, 0, 1)
-    return TameQuadChar(
-        chartools.legendre_k1(orbit.Q_alpha, orbit.q_pm, x_unit),
-        chartools.legendre_k1(orbit.Q_alpha, orbit.q_pm, x_pi),
-    )
+    """FieldPass.zeta for one orbit of inst."""
+    P = FieldPass(inst.X, (orbit,))
+    return P.zeta(0, P.row(inst.shape), inst)
 
 
 def nu_zeta_total(inst: Instance) -> TameQuadChar:
-    """Product of zeta_restricted over asymmetric pairs and symmetric orbits."""
-    orbits = filter(_is_primary, enumerate_orbits(inst.X))
-    return prod((zeta_restricted(inst, o) for o in orbits), start=TRIVIAL_CHAR)
+    """Product of the zeta characters over asymmetric pairs and symmetric orbits."""
+    P = FieldPass(inst.X)
+    row = P.row(inst.shape)
+    return prod((P.zeta(i, row, inst) for i in range(len(P.orbits))), start=TRIVIAL_CHAR)
 
 
-def verify_instance(inst: Instance) -> Report:
+def verify_instance(inst: Instance, field: FieldPass | None = None) -> Report:
     """Check the identity of every primary orbit, computing each per-orbit
     character once; the report's aggregates are the products of the verdicts.
-    """
+    field is the pass of inst.X that a sweep shares among its instances."""
     X, A = inst.X, inst.A
     if A.n != X.n:
         raise DimensionMismatch(f"m*d={A.n} but e*f={X.n}")
-    S = split_algebra(X.n)
+    P = FieldPass(X) if field is None else field
+    if P.X is not X:
+        raise ValueError(f"the pass is for {P.X.params}, not {X.params}")
+    row = P.row(inst.shape)
     verdicts = tuple(
-        OrbitVerdict(
-            ij=orbit.ij,
-            partner_ij=orbit.partner_ij,
-            cls=orbit.cls,
-            depth=tower.depth_index(X, inst.shape, orbit.rep),
-            lhs=zeta_restricted(inst, orbit),
-            rhs=epsilon_alpha(inst, orbit, S) * epsilon_alpha(inst, orbit, A),
-        )
-        for orbit in enumerate_orbits(X)
-        if _is_primary(orbit)
+        OrbitVerdict(o.ij, o.partner_ij, o.cls, row.depths[i], lhs=P.zeta(i, row, inst),
+                     rhs=row.split_eps[i] * P.epsilon(i, row, A))
+        for i, o in enumerate(P.orbits)
     )
     return Report(instance=inst, verdicts=verdicts)
 
@@ -365,11 +392,12 @@ def _field_shapes(grid: GridSpec, params: ExtensionParams):
 
 def _sweep_param(args: tuple[GridSpec, ExtensionParams]) -> tuple[int, int, int, list[dict]]:
     X, shapes, algebras, skipped = _field_shapes(*args)
+    field = FieldPass(X)
     orbits = 0
     failures: list[dict] = []
     for inst in (Instance(X, A, shape) for shape in shapes for A in algebras):
         try:
-            report = verify_instance(inst)
+            report = verify_instance(inst, field)
         except TametoriError as exc:
             failures.append(error_row(inst, exc))
             continue

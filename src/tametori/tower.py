@@ -91,9 +91,10 @@ def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
         raise NotASubgroup("top of the chain must be all of Gal(L/F)")
     if shape.t >= 1 and inertia_order(X, subs[0]) != 1:
         raise UnramifiedViolation("E/E_0 must be unramified (trivial inertia)")
-    for low, high in zip(subs, subs[1:]):
+    for k, (low, high) in enumerate(zip(subs, subs[1:])):
         if not low < high:
-            raise NonStrictTower(f"{sorted(low)!r} not strictly inside {sorted(high)!r}")
+            names = [f"H_{k + i} = {subgroup_selector(X, H)}" for i, H in enumerate((low, high))]
+            raise NonStrictTower(" not strictly inside ".join(names))
     if any(a <= 0 for a in shape.levels):
         raise NonIncreasingLevels(f"levels {shape.levels} must be positive")
     if any(a >= b for a, b in zip(shape.levels, shape.levels[1:])):

@@ -290,10 +290,10 @@ def test_sweep_error_row_exits_1(capsys, tmp_path, monkeypatch):
     _, clean, _ = run(capsys, "sweep", "--config", path)
     real = ident.verify_instance
 
-    def flaky(inst):
+    def flaky(inst, *rest):
         if inst.X.params.e == 2 and inst.A.d == 2:
             raise NotTwoTorsion("forced")
-        return real(inst)
+        return real(inst, *rest)
 
     monkeypatch.setattr(ident, "verify_instance", flaky)
     code, out, _ = run(capsys, "sweep", "--config", path)

@@ -8,6 +8,7 @@ from tametori.chartools import TRIVIAL_CHAR, TameQuadChar
 from tametori.csa import CsaParams, split_algebra
 from tametori.errors import IotaIncoherence, NotSymmetric
 from tametori.identities import (
+    FieldPass,
     GridSpec,
     Instance,
     Report,
@@ -234,10 +235,10 @@ def test_raising_instance_is_a_failure_row(monkeypatch):
     target = make_instance((3, 1, 4, 0), (2, 2, 1), ["2.0"], (2,))
     real = ident.verify_instance
 
-    def flaky(inst):
+    def flaky(inst, *rest):
         if inst == target:
             raise IotaIncoherence("forced")
-        return real(inst)
+        return real(inst, *rest)
 
     monkeypatch.setattr(ident, "verify_instance", flaky)
     summary = sweep(grid)
@@ -311,3 +312,78 @@ def test_report_structure():
     for v in report.verdicts:
         assert v.passed == (v.lhs == v.rhs)
     assert report.passed
+
+
+def test_sweep_sees_patched_functions(monkeypatch):
+    """A sweep builds its field passes within the call, so it reads iota and
+    the k^x symbol when it runs: each negation (criterion 9's mutations, whose
+    targets this grid contains) shows up as failures, and the same sweep is
+    clean again once they are restored."""
+    import tametori.chartools as ct
+    import tametori.identities as ident
+
+    grid = GridSpec((3,), n_max=4, t_max=1, a_max=1)
+    clean = sweep(grid)
+    assert clean.failures == ()
+    real_iota, real_kx = ident.iota, ct.legendre_kx
+    monkeypatch.setattr(ident, "iota", lambda inst, o: -real_iota(inst, o))
+    assert sweep(grid).failures
+    monkeypatch.setattr(ident, "iota", real_iota)
+    monkeypatch.setattr(ct, "legendre_kx", lambda Q, x: -real_kx(Q, x))
+    assert sweep(grid).failures
+    monkeypatch.setattr(ct, "legendre_kx", real_kx)
+    assert sweep(grid) == clean
+
+
+BUDGET_GRID = GridSpec((3, 5), n_max=4, w_extra=1, t_max=2, a_max=4)
+
+
+def test_field_pass_call_budget(monkeypatch):
+    """One pass per field: at most two root values per character and two
+    characters per primary orbit, and one depth lookup from identities per
+    (shape, primary orbit), however many algebras share the field."""
+    import tametori.identities as ident
+    import tametori.tower as tw
+
+    orbits = depth_budget = 0
+    for params in grid_extension_params(BUDGET_GRID):
+        X = build_extension(params)
+        primary = sum(o.symmetric or o.ij < o.partner_ij for o in enumerate_orbits(X))
+        orbits += primary
+        depth_budget += len(enumerate_shapes(X, BUDGET_GRID.t_max, BUDGET_GRID.a_max)) * primary
+    calls = {"root_eval": 0, "depth_index": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(ident, "root_eval")
+    count(tw, "depth_index")
+    assert sweep(BUDGET_GRID).failures == ()
+    assert 0 < calls["root_eval"] <= 4 * orbits
+    assert 0 < calls["depth_index"] <= depth_budget
+
+
+def test_shared_pass_matches_fresh_pass():
+    """verify_instance with the field's shared pass, visited algebra by
+    algebra (the sweep goes shape by shape), reports what a fresh pass per
+    instance reports; a pass of another field is refused."""
+    checked = 0
+    for params in grid_extension_params(BUDGET_GRID):
+        X = build_extension(params)
+        field = FieldPass(X)
+        shapes = enumerate_shapes(X, BUDGET_GRID.t_max, BUDGET_GRID.a_max)
+        for A in grid_algebras(X.n):
+            for shape in shapes:
+                inst = Instance(X, A, shape)
+                assert verify_instance(inst, field) == verify_instance(inst)
+                checked += 1
+    assert checked == sweep(BUDGET_GRID).instances
+    other = FieldPass(model(3, 2, 2))
+    with pytest.raises(ValueError):
+        verify_instance(make_instance((3, 1, 4, 0), (2, 2, 1), ["E"], (1,)), other)

@@ -83,3 +83,48 @@ def test_oracles_use_public_names_only():
         and not node.attr.endswith("__")
     ]
     assert not private, f"oracles.py reaches private names: {private}"
+
+
+def _called_name(node):
+    """The last name of a decorator or call target: lru_cache for
+    @functools.lru_cache(maxsize=None), dict for dict()."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def test_identities_keeps_no_state_across_calls():
+    """identities builds its tables inside a call (a FieldPass) and memoizes
+    nothing across calls, so a patched function is seen by the next call: no
+    lru_cache or cache decorator and no module-level dict, list or set
+    (__all__ and other dunder names aside)."""
+    path = next(p for p in SRC if p.name == "identities.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    cached = [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for dec in node.decorator_list
+        if _called_name(dec) in ("lru_cache", "cache")
+    ]
+    assert not cached, f"identities.py caches across calls: {cached}"
+    state = [
+        node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and node.value is not None
+        and (
+            isinstance(node.value, CONTAINERS)
+            or _called_name(node.value) in ("dict", "list", "set", "defaultdict")
+        )
+        and not all(
+            isinstance(t, ast.Name) and t.id.startswith("__") and t.id.endswith("__")
+            for t in getattr(node, "targets", [getattr(node, "target", None)])
+        )
+    ]
+    assert not state, f"identities.py holds module-level containers at lines {state}"

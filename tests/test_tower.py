@@ -307,6 +307,17 @@ def test_not_a_subgroup_message_is_sorted():
     assert str(info.value) == f"{sorted(not_closed)!r} is not closed"
 
 
+def test_non_strict_message_names_selectors():
+    """A non-strict step names both subgroups by chain position and selector
+    (the `verify --tower 4,E` chain of (3, 4, 2)), not by their elements."""
+    X = model(3, 4, 2)
+    chain = (parse_selector(X, "4"), parse_selector(X, "E"), full_group(X))
+    with pytest.raises(NonStrictTower) as info:
+        validate_shape(X, TowerShape(subgroups=chain, levels=(1, 2)))
+    assert str(info.value) == "H_0 = 4.0 not strictly inside H_1 = 8.0"
+    assert "GaloisElement" not in str(info.value)
+
+
 def test_shape_pickle_roundtrip():
     import pickle
 
