@@ -186,7 +186,7 @@ def root_eval(X: ExtensionModel, orbit: RootOrbit, u: int, v: int) -> MuExponent
     """alpha(zeta_E^u pi_E^v) = (zeta_E^u pi_E^v) / g(zeta_E^u pi_E^v) as an
     exponent in mu_L: u u_E (1 - q^{c_g}) - v a_g mod Q-1."""
     g = orbit.rep
-    return MuExponent((u * X.u_E * (1 - X.qpow[g.c]) - v * g.a) % X.M, X.M)
+    return MuExponent(u * X.u_E * (1 - X.qpow[g.c]) - v * g.a, X.M)
 
 
 def ord_contains(X: ExtensionModel, A: CsaParams, orbit: RootOrbit, r) -> bool:

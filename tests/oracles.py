@@ -22,6 +22,7 @@ __all__ = [
     "graded_piece",
     "v_layer",
     "symp_iso_criterion",
+    "GF",
 ]
 
 
@@ -108,3 +109,98 @@ def symp_iso_criterion(X: ExtensionModel, A: CsaParams, orbit: RootOrbit) -> boo
     if not orbit.symmetric:
         raise NotSymmetric(f"orbit {orbit.ij} is asymmetric")
     return orbit.j == 0 or A.m % 2 == 0
+
+
+class GF:
+    """The field with p^k elements in real arithmetic, for odd p.
+
+    An element is an int 0 <= x < Q = p^k read as the polynomial
+    sum x_i X^i over Z/p, x_i its base-p digits.  Products are reduced modulo
+    the first monic irreducible polynomial of degree k in search order, and g
+    is the least element of multiplicative order Q - 1.  Nothing here uses an
+    exponent picture: g is found by testing orders with real powers, times_g
+    tabulates y -> g y, and pw lists the real powers g^0, ..., g^{Q-2}.
+    """
+
+    def __init__(self, p: int, k: int):
+        self.p, self.k, self.Q = p, k, p**k
+        self.modulus = next(
+            f for f in (self.digits(c, k) + [1] for c in range(self.Q)) if self.irreducible(f)
+        )
+        n = self.Q - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+        self.g = next(
+            a for a in range(2, self.Q) if all(self.pow(a, n // r) != 1 for r in primes)
+        )
+        self.times_g = [self.mul(self.g, y) for y in range(self.Q)]
+        self.pw = [1]
+        for _ in range(n - 1):
+            self.pw.append(self.times_g[self.pw[-1]])
+
+    def digits(self, x: int, length: int) -> list[int]:
+        """The lowest `length` base-p digits of x, lowest first."""
+        out = []
+        for _ in range(length):
+            x, d = divmod(x, self.p)
+            out.append(d)
+        return out
+
+    def polymod(self, a: list[int], f: list[int]) -> list[int]:
+        """Remainder of a by the monic f, coefficients lowest first."""
+        a, d = list(a), len(f) - 1
+        for top in range(len(a) - 1, d - 1, -1):
+            c = a[top] % self.p
+            if c:
+                for i in range(d + 1):
+                    a[top - d + i] -= c * f[i]
+        return [c % self.p for c in a[:d]]
+
+    def irreducible(self, f: list[int]) -> bool:
+        """No monic factor of degree 1 .. deg(f) / 2."""
+        deg = len(f) - 1
+        return all(
+            any(self.polymod(f, self.digits(c, d) + [1]))
+            for d in range(1, deg // 2 + 1)
+            for c in range(self.p**d)
+        )
+
+    def mul(self, a: int, b: int) -> int:
+        da, db = self.digits(a, self.k), self.digits(b, self.k)
+        prod = [0] * (2 * self.k - 1)
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        out = 0
+        for c in reversed(self.polymod(prod, self.modulus)):
+            out = out * self.p + c
+        return out
+
+    def pow(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def mul_sign(self, a: int) -> int:
+        """Sign of y -> a y as a permutation of all Q elements, from its
+        cycles.  The images are taken along y = g^0, g^1, ...: a g^{i+1} is
+        g times a g^i."""
+        image = [0] * self.Q
+        z = a
+        for y in self.pw:
+            image[y] = z
+            z = self.times_g[z]
+        seen = bytearray(self.Q)
+        cycles = 0
+        for start in range(self.Q):
+            if not seen[start]:
+                cycles += 1
+                y = start
+                while not seen[y]:
+                    seen[y] = 1
+                    y = image[y]
+        return -1 if (self.Q - cycles) % 2 else 1
