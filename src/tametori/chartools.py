@@ -8,6 +8,13 @@ Legendre symbol, the norm-one k^1 symbol, and the multiplication permutation
 sign) are then parity computations on reduced exponents.  Tame quadratic
 characters of E^x are determined by their values on a unit generator and on
 pi_E, which is all a TameQuadChar stores.
+
+Every field size passed here (Q, Q_alpha, q_pm, Q_sub) must be a prime power.
+The functions compute on exponents only and cannot tell whether a field of
+that size exists: legendre_kx(6, MuExponent(1, 5)) returns -1 for a field
+with 6 elements.  The CLI and GridSpec reject a q that is not an odd prime
+power, and every size derived from a valid q is a power of it, so nothing
+here checks per call.
 """
 
 from __future__ import annotations
@@ -66,7 +73,8 @@ TRIVIAL_CHAR = TameQuadChar(1, 1)
 
 def reduce_to_subfield(x: MuExponent, Q_sub: int) -> int:
     """Exponent of x relative to the generator of mu of the subfield with
-    Q_sub elements, i.e. zeta^{(order)/(Q_sub-1)}."""
+    Q_sub elements, i.e. zeta^{(order)/(Q_sub-1)}.  Q_sub must be a prime
+    power (see the module docstring); Q_sub < 2 raises ValueError."""
     if x.order == Q_sub - 1:
         return x.val
     if Q_sub < 2:
@@ -81,7 +89,8 @@ def reduce_to_subfield(x: MuExponent, Q_sub: int) -> int:
 
 def legendre_kx(Q_alpha: int, x: MuExponent) -> int:
     """Quadratic symbol on the multiplicative group of the field with Q_alpha
-    elements: -1 exactly on non-squares, i.e. odd reduced exponents."""
+    elements: -1 exactly on non-squares, i.e. odd reduced exponents.  Q_alpha
+    must be a prime power (see the module docstring)."""
     return -1 if reduce_to_subfield(x, Q_alpha) % 2 else 1
 
 
@@ -91,7 +100,8 @@ def legendre_k1(Q_alpha: int, q_pm: int, x: MuExponent) -> int:
 
     k^1 = ker(Norm) is cyclic of order q_pm + 1 (even), generated by
     zeta_alpha^{q_pm - 1}; membership means (q_pm - 1) | exponent and the
-    symbol is the parity of the index.
+    symbol is the parity of the index.  q_pm must be a prime power (see the
+    module docstring).
     """
     if Q_alpha != q_pm * q_pm:
         raise ValueError(f"Q_alpha={Q_alpha} is not q_pm^2 for q_pm={q_pm}")
@@ -110,7 +120,8 @@ def perm_sign(Q: int, x: MuExponent) -> int:
     n/t = gcd(v, n) and the sign is (-1)^{n - gcd(v, n)}.  This stays a
     count of cycles on purpose: for odd Q it equals the parity test of
     legendre_kx, and acceptance criterion 6 compares the two, which would
-    prove nothing if both were the same parity formula.
+    prove nothing if both were the same parity formula.  Q must be a prime
+    power (see the module docstring).
     """
     n = Q - 1
     return -1 if (n - gcd(reduce_to_subfield(x, Q), n)) % 2 else 1

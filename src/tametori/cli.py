@@ -17,7 +17,7 @@ from . import identities
 from .csa import CsaParams
 from .errors import TametoriError
 from .finmod import u_dim
-from .identities import GridSpec, Instance, Report, verify_instance
+from .identities import GridSpec, Instance, OrbitVerdict, verify_instance
 from .localfield import ExtensionModel, ExtensionParams, build_extension
 from .roots import enumerate_orbits
 from .tower import TowerShape, interval_subgroups, parse_selector, validate_shape
@@ -25,7 +25,9 @@ from .tower import TowerShape, interval_subgroups, parse_selector, validate_shap
 __all__ = ["main"]
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
+def _emit(rows: list[dict], columns, fmt: str) -> None:
+    """JSON-lines of the rows, or a TSV header of the columns and one line per
+    row; the rows' keys are the columns (JSON rows may add a kind key)."""
     if fmt == "json":
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -47,20 +49,16 @@ def _build_model(args) -> ExtensionModel:
     return build_extension(ExtensionParams(args.q, args.e, args.f, args.w))
 
 
+_CLASSIFY_COLUMNS = ("i", "j", "class", "Q_alpha", "q_pm", "u_dim")
+
+
 def cmd_classify(args) -> int:
     X = _build_model(args)
     rows = [
-        {
-            "i": o.ij[0],
-            "j": o.ij[1],
-            "class": o.cls.value,
-            "Q_alpha": o.Q_alpha,
-            "q_pm": o.q_pm,
-            "u_dim": u_dim(X, o),
-        }
+        dict(zip(_CLASSIFY_COLUMNS, (*o.ij, o.cls.value, o.Q_alpha, o.q_pm, u_dim(X, o))))
         for o in enumerate_orbits(X)
     ]
-    _emit(rows, ["i", "j", "class", "Q_alpha", "q_pm", "u_dim"], args.format)
+    _emit(rows, _CLASSIFY_COLUMNS, args.format)
     return 0
 
 
@@ -82,57 +80,25 @@ def _parse_shape(X, tower_arg: str, levels_arg: str) -> TowerShape:
     return shape
 
 
-def _report_rows(report: Report) -> list[dict]:
-    rows = [
-        {
-            "kind": "orbit",
-            "i": v.ij[0],
-            "j": v.ij[1],
-            "partner_i": v.partner_ij[0],
-            "partner_j": v.partner_ij[1],
-            "class": v.cls.value,
-            "depth": v.depth,
-            "lhs_unit": v.lhs.on_unit_gen,
-            "lhs_pi": v.lhs.on_uniformizer,
-            "rhs_unit": v.rhs.on_unit_gen,
-            "rhs_pi": v.rhs.on_uniformizer,
-            "pass": int(v.passed),
-        }
-        for v in report.verdicts
-    ]
-    rows.append(
-        {
-            "kind": "aggregate",
-            "i": None,
-            "j": None,
-            "partner_i": None,
-            "partner_j": None,
-            "class": None,
-            "depth": None,
-            "lhs_unit": report.aggregate_lhs.on_unit_gen,
-            "lhs_pi": report.aggregate_lhs.on_uniformizer,
-            "rhs_unit": report.aggregate_rhs.on_unit_gen,
-            "rhs_pi": report.aggregate_rhs.on_uniformizer,
-            "pass": int(report.passed),
-        }
+def _report_row(kind: str, v: OrbitVerdict | None, lhs, rhs, passed: bool) -> dict:
+    """One verify row; the aggregate row (v is None) leaves the orbit cells empty."""
+    i, j, partner_i, partner_j, cls, depth = (
+        (None,) * 6 if v is None else (*v.ij, *v.partner_ij, v.cls.value, v.depth)
     )
-    return rows
-
-
-_REPORT_COLUMNS = [
-    "kind",
-    "i",
-    "j",
-    "partner_i",
-    "partner_j",
-    "class",
-    "depth",
-    "lhs_unit",
-    "lhs_pi",
-    "rhs_unit",
-    "rhs_pi",
-    "pass",
-]
+    return {
+        "kind": kind,
+        "i": i,
+        "j": j,
+        "partner_i": partner_i,
+        "partner_j": partner_j,
+        "class": cls,
+        "depth": depth,
+        "lhs_unit": lhs.on_unit_gen,
+        "lhs_pi": lhs.on_uniformizer,
+        "rhs_unit": rhs.on_unit_gen,
+        "rhs_pi": rhs.on_uniformizer,
+        "pass": int(passed),
+    }
 
 
 def cmd_verify(args) -> int:
@@ -140,7 +106,11 @@ def cmd_verify(args) -> int:
     A = CsaParams(args.m, args.d, args.h)
     shape = _parse_shape(X, args.tower, args.levels)
     report = verify_instance(Instance(X, A, shape))
-    _emit(_report_rows(report), _REPORT_COLUMNS, args.format)
+    rows = [_report_row("orbit", v, v.lhs, v.rhs, v.passed) for v in report.verdicts]
+    rows.append(
+        _report_row("aggregate", None, report.aggregate_lhs, report.aggregate_rhs, report.passed)
+    )
+    _emit(rows, rows[0], args.format)  # never empty: the aggregate row is always there
     return 0 if report.passed else 1
 
 
@@ -196,52 +166,19 @@ def load_config(path: str) -> GridSpec:
         raise ValueError(f"{path}: missing config key {exc.args[0]}") from None
 
 
-_FAILURE_COLUMNS = [
-    "q",
-    "e",
-    "f",
-    "w",
-    "m",
-    "d",
-    "h",
-    "tower",
-    "levels",
-    "orbits",
-    "lhs",
-    "rhs",
-    "aggregate_lhs",
-    "aggregate_rhs",
-]
-
-
 def cmd_sweep(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs {args.jobs} outside 1..{cpus} (the CPU count)")
     grid = load_config(args.config)
-    if args.dry_run:
-        plan = identities.plan(grid)
-        counts = {
-            "params": plan.params_count,
-            "instances": plan.instances,
-            "skipped_nonstrict": plan.skipped_nonstrict,
-        }
-        _emit_counts("dry-run", counts, args.format)
-        return 0
-    summary = identities.sweep(grid, jobs=args.jobs)
-    stats = {
-        "params": summary.params_count,
-        "instances": summary.instances,
-        "orbits_checked": summary.orbits_checked,
-        "failures": len(summary.failures),
-        "skipped_nonstrict": summary.skipped_nonstrict,
-    }
-    if args.format == "json":
-        for row in summary.failures:
-            print(json.dumps({"kind": "failure", **row}, sort_keys=True))
-    else:
-        _emit(list(summary.failures), _FAILURE_COLUMNS, "tsv")
-    _emit_counts("summary", stats, args.format)
+    summary = identities.plan(grid) if args.dry_run else identities.sweep(grid, jobs=args.jobs)
+    counts = {"params": summary.params_count, "instances": summary.instances}
+    if not args.dry_run:
+        counts.update(orbits_checked=summary.orbits_checked, failures=len(summary.failures))
+        rows = [{"kind": "failure", **row} for row in summary.failures]
+        _emit(rows, identities.FAILURE_COLUMNS, args.format)
+    counts["skipped_nonstrict"] = summary.skipped_nonstrict  # the last count of both lines
+    _emit_counts("dry-run" if args.dry_run else "summary", counts, args.format)
     return 1 if summary.failures else 0
 
 

@@ -9,11 +9,14 @@ twice, gated once by the split algebra and once by the given one.  Each
 primary orbit is verified once; the aggregate characters of an instance are
 the products of its per-orbit verdicts, so the instance passes when every
 per-orbit identity holds.  A mismatch is data in the report, never an
-exception.  nu_zeta_total and epsilon_total multiply the per-orbit characters
-without a report, as the factorization check the tests compare the verdict
-products with; they stay in the library while the benchmark traces them.
-Every per-orbit function is a FieldPass kernel, which does once per field
-(or per shape) all the work the algebra does not change.
+exception.  Every per-orbit function is a FieldPass kernel, which does once
+per field (or per shape) all the work the algebra does not change.
+epsilon_alpha and zeta_restricted are the public one-orbit entry points over
+FieldPass; they take any representative of an orbit, which acceptance
+criterion 10 relies on.  nu_zeta_total and epsilon_total multiply the
+per-orbit characters without a report, as the factorization check the tests
+compare the verdict products with; they stay only until the benchmark
+retires their trace targets.
 
 sweep() runs verify_instance, with one pass per field, over a parameter grid
 and collects failures in replayable coordinate rows; an instance whose check
@@ -52,6 +55,7 @@ __all__ = [
     "Report",
     "GridSpec",
     "SweepSummary",
+    "FAILURE_COLUMNS",
     "epsilon_alpha",
     "epsilon_total",
     "iota",
@@ -257,7 +261,7 @@ def verify_instance(inst: Instance, field: FieldPass | None = None) -> Report:
     if A.n != X.n:
         raise DimensionMismatch(f"m*d={A.n} but e*f={X.n}")
     P = FieldPass(X) if field is None else field
-    if P.X is not X:
+    if P.X is not X and P.X.params != X.params:
         raise ValueError(f"the pass is for {P.X.params}, not {X.params}")
     row = P.row(inst.shape)
     verdicts = tuple(
@@ -342,41 +346,41 @@ def grid_algebras(n: int) -> tuple[CsaParams, ...]:
     )
 
 
-def _coordinates(inst: Instance) -> dict:
-    """The `verify` arguments that replay an instance."""
+FAILURE_COLUMNS = ("q", "e", "f", "w", "m", "d", "h", "tower", "levels",
+                   "orbits", "lhs", "rhs", "aggregate_lhs", "aggregate_rhs")
+
+
+def _cell(char: TameQuadChar) -> str:
+    return f"{char.on_unit_gen},{char.on_uniformizer}"
+
+
+def _row(inst: Instance, *cells: str) -> dict:
+    """The `verify` arguments that replay inst, then the given orbits, lhs,
+    rhs and aggregate cells, keyed by FAILURE_COLUMNS."""
     p, A, shape = inst.X.params, inst.A, inst.shape
     towers = ",".join(subgroup_selector(inst.X, H) for H in shape.subgroups[:-1])
-    return {
-        "q": p.q,
-        "e": p.e,
-        "f": p.f,
-        "w": p.w,
-        "m": A.m,
-        "d": A.d,
-        "h": A.h,
-        "tower": towers or "-",
-        "levels": ",".join(str(a) for a in shape.levels) or "-",
-    }
+    levels = ",".join(str(a) for a in shape.levels)
+    coords = (p.q, p.e, p.f, p.w, A.m, A.d, A.h, towers or "-", levels or "-")
+    return dict(zip(FAILURE_COLUMNS, coords + cells, strict=True))
 
 
 def failure_row(report: Report) -> dict:
     """Replayable coordinates plus the mismatching values."""
     bad = [v for v in report.verdicts if not v.passed]
-    return {
-        **_coordinates(report.instance),
-        "orbits": ";".join(f"{v.ij[0]},{v.ij[1]}" for v in bad) or "-",
-        "lhs": ";".join(f"{v.lhs.on_unit_gen},{v.lhs.on_uniformizer}" for v in bad),
-        "rhs": ";".join(f"{v.rhs.on_unit_gen},{v.rhs.on_uniformizer}" for v in bad),
-        "aggregate_lhs": f"{report.aggregate_lhs.on_unit_gen},{report.aggregate_lhs.on_uniformizer}",
-        "aggregate_rhs": f"{report.aggregate_rhs.on_unit_gen},{report.aggregate_rhs.on_uniformizer}",
-    }
+    return _row(
+        report.instance,
+        ";".join(f"{v.ij[0]},{v.ij[1]}" for v in bad) or "-",
+        ";".join(_cell(v.lhs) for v in bad),
+        ";".join(_cell(v.rhs) for v in bad),
+        _cell(report.aggregate_lhs),
+        _cell(report.aggregate_rhs),
+    )
 
 
 def error_row(inst: Instance, exc: TametoriError) -> dict:
     """Replayable coordinates of an instance whose check raised; the orbits
-    cell names the error class."""
-    blank = dict.fromkeys(("lhs", "rhs", "aggregate_lhs", "aggregate_rhs"), "-")
-    return {**_coordinates(inst), "orbits": f"error:{type(exc).__name__}", **blank}
+    cell names the error class and the value cells are blank."""
+    return _row(inst, f"error:{type(exc).__name__}", "-", "-", "-", "-")
 
 
 def _field_shapes(grid: GridSpec, params: ExtensionParams):

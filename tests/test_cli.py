@@ -332,3 +332,62 @@ def test_sweep_dry_run_counts(capsys, tmp_path, monkeypatch, fmt):
         assert json.loads(out) == {"kind": "dry-run", **want}
     else:
         assert out == "# " + " ".join(f"{k}={want[k]}" for k in keys) + "\n"
+
+
+def _tsv_header(out):
+    return tuple(out.splitlines()[0].split("\t"))
+
+
+def _json_rows(out):
+    return [json.loads(line) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--q", "5", "--e", "2", "--f", "2"),
+        ("classify", "--q", "5", "--e", "4", "--f", "1"),
+        ("verify", "--q", "3", "--e", "1", "--f", "4", "--m", "2", "--d", "2",
+         "--h", "1", "--tower", "E,2.0", "--levels", "1,3"),
+        ("verify", "--q", "3", "--e", "1", "--f", "1", "--m", "1", "--d", "1"),
+    ],
+)
+def test_tsv_header_is_the_json_row_keys(capsys, argv):
+    """classify and verify name each column once: the TSV header is the key
+    set of every JSON row, and every TSV line has one cell per column."""
+    _, tsv, _ = run(capsys, *argv)
+    _, js, _ = run(capsys, *argv, "--format", "json")
+    header = _tsv_header(tsv)
+    rows = _json_rows(js)
+    assert rows and all(sorted(row) == sorted(header) for row in rows)
+    assert all(len(line.split("\t")) == len(header) for line in tsv.splitlines())
+
+
+def test_classify_header_prints_without_orbits(capsys):
+    """A field with no orbits (n = 1) still prints the classify header in
+    TSV, and nothing in JSON."""
+    _, tsv, _ = run(capsys, "classify", "--q", "3", "--e", "1", "--f", "1")
+    _, js, _ = run(capsys, "classify", "--q", "3", "--e", "1", "--f", "1", "--format", "json")
+    _, full, _ = run(capsys, "classify", "--q", "5", "--e", "2", "--f", "2")
+    assert tsv == full.splitlines()[0] + "\n"
+    assert js == ""
+
+
+def test_sweep_header_is_the_failure_row_keys(capsys, tmp_path, monkeypatch):
+    """The sweep header is FAILURE_COLUMNS on a clean sweep and on a failing
+    one, and the JSON failure rows carry the same keys plus kind."""
+    import tametori.identities as ident
+
+    path = write_config(tmp_path, "q_list = 3\nn_max = 2\n")
+    _, clean, _ = run(capsys, "sweep", "--config", path)
+    assert _tsv_header(clean) == ident.FAILURE_COLUMNS
+    assert len(clean.splitlines()) == 2
+    real_iota = ident.iota
+    monkeypatch.setattr(ident, "iota", lambda inst, o: -real_iota(inst, o))
+    _, tsv, _ = run(capsys, "sweep", "--config", path)
+    _, js, _ = run(capsys, "sweep", "--config", path, "--format", "json")
+    assert _tsv_header(tsv) == ident.FAILURE_COLUMNS
+    failures = [row for row in _json_rows(js) if row["kind"] == "failure"]
+    assert failures and len(failures) == len(tsv.splitlines()) - 2
+    assert all(sorted(set(row) - {"kind"}) == sorted(ident.FAILURE_COLUMNS) for row in failures)
+    assert all(len(line.split("\t")) == len(ident.FAILURE_COLUMNS) for line in tsv.splitlines()[:-1])

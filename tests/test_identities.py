@@ -8,6 +8,7 @@ from tametori.chartools import TRIVIAL_CHAR, TameQuadChar
 from tametori.csa import CsaParams, split_algebra
 from tametori.errors import IotaIncoherence, NotSymmetric
 from tametori.identities import (
+    FAILURE_COLUMNS,
     FieldPass,
     GridSpec,
     Instance,
@@ -258,6 +259,18 @@ def test_failure_row_t0():
     assert row["tower"] == "-" and row["levels"] == "-"
 
 
+def test_failure_and_error_rows_share_one_schema():
+    """Failure rows and error rows have the keys of FAILURE_COLUMNS, in its
+    order, on a failing and a passing report."""
+    inst = make_instance((3, 1, 4, 0), (2, 2, 1), ["E", "2.0"], (1, 3))
+    report = verify_instance(inst)
+    bad = Report(inst, tuple(v._replace(lhs=v.lhs * TameQuadChar(-1, 1)) for v in report.verdicts))
+    assert not bad.passed
+    for r in (report, bad):
+        assert tuple(failure_row(r)) == tuple(error_row(inst, IotaIncoherence("x"))) == FAILURE_COLUMNS
+    assert failure_row(bad)["lhs"].count(";") == len(bad.verdicts) - 1
+
+
 def test_aggregate_equals_verdict_product():
     """The aggregates of a report are the verdict products; nu and the two
     epsilon totals, computed orbit by orbit on their own, factor the same way
@@ -387,3 +400,39 @@ def test_shared_pass_matches_fresh_pass():
     other = FieldPass(model(3, 2, 2))
     with pytest.raises(ValueError):
         verify_instance(make_instance((3, 1, 4, 0), (2, 2, 1), ["E"], (1,)), other)
+
+
+def test_pass_of_an_equal_model_is_accepted():
+    """A pass of a model that equals inst.X but was built apart from it serves
+    the instance and gives the same report; only a pass of another field is
+    refused."""
+    params = ExtensionParams(3, 1, 4, 0)
+    X, rebuilt = build_extension(params), build_extension.__wrapped__(params)
+    assert rebuilt is not X and rebuilt == X
+    inst = make_instance((3, 1, 4, 0), (2, 2, 1), ["E", "2.0"], (1, 3))
+    twin = Instance(rebuilt, inst.A, inst.shape)
+    assert verify_instance(twin, FieldPass(X)) == verify_instance(twin)
+    assert verify_instance(inst, FieldPass(rebuilt)).verdicts == verify_instance(inst).verdicts
+    with pytest.raises(ValueError, match="the pass is for"):
+        verify_instance(twin, FieldPass(model(3, 2, 2)))
+
+
+def test_k1_symbol_is_shared_by_both_sides(monkeypatch):
+    """On a symmetric unramified orbit whose module classes differ, the zeta
+    side and the epsilon side read the same k^1 symbol, so it cancels: a sweep
+    with legendre_k1 negated everywhere evaluates the symbol and still has no
+    failure.  The sweep does not check that symbol's values; the oracles.GF
+    tests in test_chartools.py do."""
+    import tametori.chartools as ct
+
+    real = ct.legendre_k1
+    calls = []
+
+    def negated(*args):
+        calls.append(args)
+        return -real(*args)
+
+    monkeypatch.setattr(ct, "legendre_k1", negated)
+    summary = sweep(GridSpec((3,), n_max=4, t_max=1, a_max=2))
+    assert summary.instances == 82
+    assert calls and summary.failures == ()
