@@ -12,7 +12,6 @@ mod d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -120,5 +119,5 @@ def brauer_torsion_sign(A: CsaParams, n_alpha: int) -> int:
         return 1
     if 2 * rem == A.d:
         return -1
-    cls = Fraction(rem, A.d)  # reduced mod 1
-    raise NotTwoTorsion(f"{n_alpha} * [{A.h}/{A.d}] = {cls} is not 2-torsion")
+    g = gcd(rem, A.d)
+    raise NotTwoTorsion(f"{n_alpha} * [{A.h}/{A.d}] = {rem // g}/{A.d // g} is not 2-torsion")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -113,10 +112,10 @@ class Report:
 
 
 class ShapeRow(NamedTuple):
-    """Per orbit of a shape: depth, split-form class and epsilon; halves[k] = a_k / 2e."""
+    """Per orbit of a shape: depth, split-form class and epsilon; plus the shape's levels."""
 
     depths: list[int]
-    halves: list[Fraction]
+    levels: tuple[int, ...]
     split_classes: list[finmod.ModuleClass]
     split_eps: list[TameQuadChar]
 
@@ -150,7 +149,7 @@ class FieldPass:
             X, S = self.X, split_algebra(self.X.n)
             row = ShapeRow(
                 [tower.depth_index(X, shape, o.rep) for o in self.orbits],
-                [Fraction(a, 2 * X.e) for a in shape.levels],
+                shape.levels,
                 [finmod.v_module(X, S, shape, o.rep) for o in self.orbits],
                 [],
             )
@@ -167,7 +166,7 @@ class FieldPass:
         o, k = self.orbits[i], row.depths[i]
         if o.cls is RootClass.SYMMETRIC_RAMIFIED:
             return TameQuadChar(1, brauer_torsion_sign(B, o.n_pm))
-        if k == -1 or not ord_contains(self.X, B, o, row.halves[k]):
+        if k == -1 or not ord_contains(self.X, B, o, row.levels[k]):
             return TRIVIAL_CHAR
         return self._char(i, _symbol)
 
@@ -306,14 +305,6 @@ class SweepSummary:
     orbits_checked: int
     failures: tuple[dict, ...]
     skipped_nonstrict: int = 0
-
-    @property
-    def passes(self) -> int:
-        return self.instances - len(self.failures)
-
-    @property
-    def first_failure(self) -> dict | None:
-        return self.failures[0] if self.failures else None
 
 
 def grid_extension_params(grid: GridSpec) -> tuple[ExtensionParams, ...]:

@@ -189,12 +189,10 @@ def root_eval(X: ExtensionModel, orbit: RootOrbit, u: int, v: int) -> MuExponent
     return MuExponent(u * X.u_E * (1 - X.qpow[g.c]) - v * g.a, X.M)
 
 
-def ord_contains(X: ExtensionModel, A: CsaParams, orbit: RootOrbit, r) -> bool:
-    """Whether depth r (an int or a Fraction) sits in the order-theoretic
-    support of alpha for the E-pure principal order of A: r * e(A/O_F) must be
-    an integer j' with j == h j' (mod f_0)."""
+def ord_contains(X: ExtensionModel, A: CsaParams, orbit: RootOrbit, a: int) -> bool:
+    """Whether the half-level r = a / 2e of a layer with jump level a sits in
+    the order-theoretic support of alpha for the E-pure principal order of A:
+    r * e(A/O_F) must be an integer j' with j == h j' (mod e(A/O_E))."""
     inv = order_invariants(X, A)
-    num = r.numerator * inv.e_F
-    if num % r.denominator:
-        return False
-    return (orbit.j - A.h * (num // r.denominator)) % inv.e_E == 0
+    j_prime, rest = divmod(a * inv.e_F, 2 * X.e)
+    return rest == 0 and (orbit.j - A.h * j_prime) % inv.e_E == 0

@@ -152,5 +152,6 @@ def test_brauer_torsion_matches_fraction_order(d, h, n_alpha):
     elif denom == Fraction(1, 2):
         assert brauer_torsion_sign(A, n_alpha) == -1
     else:
-        with pytest.raises(NotTwoTorsion):
+        with pytest.raises(NotTwoTorsion) as info:
             brauer_torsion_sign(A, n_alpha)
+        assert str(info.value) == f"{n_alpha} * [{h}/{d}] = {denom} is not 2-torsion"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from tametori.chartools import TRIVIAL_CHAR, TameQuadChar
@@ -21,6 +23,7 @@ from tametori.identities import (
     grid_extension_params,
     iota,
     nu_zeta_total,
+    plan,
     sweep,
     verify_instance,
     zeta_restricted,
@@ -180,15 +183,14 @@ def test_mini_sweep_passes():
     summary = sweep(grid)
     assert summary.failures == ()
     assert summary.instances > 100
-    assert summary.passes == summary.instances
-    assert summary.first_failure is None
     assert summary.skipped_nonstrict == 0
 
 
 def test_strict_admissible_skips():
     """The strict filter drops instances whose FULL chain starts ramified;
-    that is exactly the t = 0 shapes of models with e > 1 (towers with t >= 1
-    already have unramified bottoms by construction)."""
+    that is exactly the t = 0 shapes of models with e > 1, once per algebra
+    (towers with t >= 1 already have unramified bottoms by construction), as
+    the README's `strict = 1` sentence says."""
     base = GridSpec(q_list=(5,), n_max=4, w_extra=0, t_max=1, a_max=2)
     strict = GridSpec(
         q_list=(5,), n_max=4, w_extra=0, t_max=1, a_max=2, strict_admissible=True
@@ -199,6 +201,16 @@ def test_strict_admissible_skips():
     assert s_strict.failures == ()
     assert s_strict.skipped_nonstrict > 0
     assert s_strict.instances + s_strict.skipped_nonstrict == s_base.instances
+    wide = GridSpec((3, 5, 7), 6, w_extra=2, w_seed=5, t_max=2, a_max=3,
+                    strict_admissible=True)
+    for grid in (strict, wide):
+        ramified = sum(
+            len(grid_algebras(p.e * p.f)) for p in grid_extension_params(grid) if p.e > 1
+        )
+        assert plan(grid).skipped_nonstrict == ramified
+        # the t = 0 shapes alone account for every skip
+        assert plan(replace(grid, t_max=0)).skipped_nonstrict == ramified
+    assert plan(wide).skipped_nonstrict == 253
 
 
 def test_sweep_jobs_deterministic():
@@ -246,7 +258,7 @@ def test_raising_instance_is_a_failure_row(monkeypatch):
     assert summary.instances == clean.instances
     assert summary.orbits_checked == clean.orbits_checked - len(real(target).verdicts)
     assert summary.failures == (error_row(target, IotaIncoherence("forced")),)
-    row = summary.first_failure
+    row = summary.failures[0]
     assert row["orbits"] == "error:IotaIncoherence"
     assert (row["q"], row["e"], row["f"], row["w"]) == (3, 1, 4, 0)
     assert (row["m"], row["d"], row["h"], row["tower"], row["levels"]) == (2, 2, 1, "2.0", "2")

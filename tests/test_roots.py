@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tametori.csa import CsaParams
+from tametori.csa import CsaParams, split_algebra
 from tametori.identities import grid_extension_params
-from tametori.localfield import build_extension, compose, enumerate_group, inverse
+from tametori.localfield import (
+    build_extension,
+    compose,
+    enumerate_group,
+    inverse,
+    radical_prime,
+)
 from tametori.roots import (
     RootClass,
     coset_element,
@@ -24,7 +32,7 @@ from tametori.roots import (
 )
 
 from conftest import ACCEPT_GRID, model
-from oracles import CriterionViolation, classify_by_criterion, classify_elementwise
+from oracles import GF, CriterionViolation, classify_by_criterion, classify_elementwise
 
 MODELS = [
     (3, 1, 2, 0),
@@ -252,6 +260,54 @@ def test_root_eval_frozen():
     assert root_eval(X2, o, 0, 1).val == 0
 
 
+# Presentations whose splitting field has Q <= 729 elements, several with
+# w != 0, so that alpha(pi_E) = zeta^{-a} is not always +-1.
+REAL_FIELDS = [
+    (3, 1, 4, 0),
+    (3, 2, 2, 1),
+    (3, 4, 2, 0),
+    (3, 5, 2, 1),
+    (5, 2, 2, 3),
+    (5, 4, 1, 0),
+    (5, 6, 1, 0),
+    (7, 3, 1, 1),
+    (7, 6, 2, 0),
+    (9, 4, 1, 2),
+    (11, 3, 2, 3),
+]
+
+
+@cache
+def real_field(Q):
+    p = radical_prime(Q)
+    return GF(p, next(k for k in count(1) if p**k == Q))
+
+
+@pytest.mark.parametrize("params", REAL_FIELDS)
+def test_root_values_against_real_field(params):
+    """In GF(Q), with the oracle's primitive element g as zeta and
+    zeta_E = g^{u_E}: alpha(zeta_E) is the discrete log of the real
+    zeta_E / zeta_E^{q^c}, alpha(pi_E) that of the real inverse of zeta^a,
+    and every Galois element satisfies the Kummer relation
+    (zeta^a)^e = zeta_E^{w q^c} / zeta_E^w, read off g(pi_E)^e = g(zeta_E^w pi_F)."""
+    X = model(*params)
+    F = real_field(X.Q)
+    log = {x: i for i, x in enumerate(F.pw)}
+
+    def inv(x):
+        return F.pow(x, F.Q - 2)
+
+    zeta_E = F.pow(F.g, X.u_E)
+    for o in enumerate_orbits(X):
+        g = o.rep
+        frob = F.pow(zeta_E, X.q**g.c)
+        assert root_eval(X, o, 1, 0).val == log[F.mul(zeta_E, inv(frob))]
+        assert root_eval(X, o, 0, 1).val == log[inv(F.pow(F.g, g.a))]
+    for g in enumerate_group(X):
+        kummer = F.mul(F.pow(zeta_E, X.w * X.q**g.c), inv(F.pow(zeta_E, X.w)))
+        assert F.pow(F.pow(F.g, g.a), X.e) == kummer, g
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(MODELS),
@@ -287,32 +343,34 @@ def test_root_eval_inverse_rep_is_twisted_negative(params):
 
 
 def test_ord_contains_frozen():
+    """Levels a with e = 1: the half-level a / 2e is 1/2 at a = 1, 1 at a = 2."""
     X = model(3, 1, 4)
     A = CsaParams(2, 2, 1)
     o1 = orbit_by_label(X, (0, 1))
     o2 = orbit_by_label(X, (0, 2))
-    assert ord_contains(X, A, o1, Fraction(1, 2)) is True
-    assert ord_contains(X, A, o2, Fraction(1, 2)) is False
-    assert ord_contains(X, A, o2, 1) is True
-    assert ord_contains(X, A, o1, Fraction(1, 4)) is False  # non-integral j'
+    assert ord_contains(X, A, o1, 1) is True
+    assert ord_contains(X, A, o2, 1) is False
+    assert ord_contains(X, A, o2, 2) is True
+    assert ord_contains(X, split_algebra(4), o1, 1) is False  # non-integral j'
 
 
 @pytest.mark.parametrize("params", MODELS)
 def test_ord_contains_split_everywhere_integral(params):
-    """For the split algebra e_E = 1: containment iff r*e_F is integral."""
+    """For the split algebra e_E = 1: containment iff r*e_F is integral,
+    r = a / 2e the half-level of level a."""
     X = model(*params)
     A = CsaParams(X.n, 1, 0)
     for o in enumerate_orbits(X):
-        assert ord_contains(X, A, o, 1) is True
-        assert ord_contains(X, A, o, Fraction(1, X.e)) is True
+        assert ord_contains(X, A, o, 2 * X.e) is True  # r = 1
+        assert ord_contains(X, A, o, 2) is True  # r = 1/e
         # r*e_F = 1/2 is never integral
-        assert ord_contains(X, A, o, Fraction(1, 2 * X.e)) is False
+        assert ord_contains(X, A, o, 1) is False
 
 
 @pytest.mark.parametrize("params", MODELS)
 def test_ord_contains_matches_fraction_oracle(params):
-    """Integer gate against the rational definition: r * e_F integral and
-    j == h * (r * e_F) (mod e_E)."""
+    """Integer gate against the rational definition: for the half-level
+    r = a / 2e of level a, r * e_F integral and j == h * (r * e_F) (mod e_E)."""
     from tametori.csa import order_invariants
     from tametori.identities import grid_algebras
 
@@ -320,7 +378,7 @@ def test_ord_contains_matches_fraction_oracle(params):
     for A in grid_algebras(X.n):
         inv = order_invariants(X, A)
         for o in enumerate_orbits(X):
-            for r in [Fraction(k, 2 * X.e) for k in range(1, 9)] + [1, 2]:
-                jp = Fraction(r) * inv.e_F
+            for a in [*range(1, 9), 2 * X.e, 4 * X.e]:
+                jp = Fraction(a, 2 * X.e) * inv.e_F
                 want = jp.denominator == 1 and (o.j - A.h * int(jp)) % inv.e_E == 0
-                assert ord_contains(X, A, o, r) is want
+                assert ord_contains(X, A, o, a) is want

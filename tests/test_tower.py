@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -214,10 +215,15 @@ def test_jump_data_none_exactly_on_odd_layers():
 
 
 def test_selector_roundtrip():
-    for params in [(3, 1, 4, 0), (5, 2, 2, 0), (3, 2, 1, 1), (7, 6, 1, 0)]:
+    """The selectors read the degree [E_k : F] as the index e * f_L / |H|;
+    the counted route through subfield_invariants is the oracle."""
+    fields = [(3, 1, 4, 0), (5, 2, 2, 0), (3, 2, 1, 1), (7, 6, 1, 0), (3, 4, 2, 5),
+              (5, 4, 3, 7), (7, 6, 2, 5)]
+    for params in fields:
         X = model(*params)
         for H in interval_subgroups(X):
             token = subgroup_selector(X, H)
+            assert token.partition(".")[0] == str(prod(subfield_invariants(X, H)))
             assert parse_selector(X, token) == H
             assert subgroup_selector(X, sorted(H, reverse=True)) == token
         assert parse_selector(X, "E") == X.gamma_E
