@@ -19,6 +19,7 @@ here checks per call.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
 
@@ -49,26 +50,24 @@ class MuExponent:
         self.val, self.order = val % order, order
 
 
-@dataclass(frozen=True)
-class TameQuadChar:
+class TameQuadChar(namedtuple("TameQuadChar", "on_unit_gen on_uniformizer")):
     """A character of E^x trivial on 1-units, of order dividing 2, recorded by
-    its values on a fixed unit generator and on pi_E."""
+    its values on a fixed unit generator and on pi_E.  A named tuple (see
+    csa.CsaParams); a product is one of the four characters built once below."""
 
-    on_unit_gen: int
-    on_uniformizer: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.on_unit_gen not in (1, -1) or self.on_uniformizer not in (1, -1):
+    def __new__(cls, on_unit_gen: int, on_uniformizer: int):
+        if on_unit_gen not in (1, -1) or on_uniformizer not in (1, -1):
             raise ValueError("character values must be +1 or -1 (quadratic)")
+        return tuple.__new__(cls, (on_unit_gen, on_uniformizer))
 
     def __mul__(self, other: "TameQuadChar") -> "TameQuadChar":
-        return TameQuadChar(
-            self.on_unit_gen * other.on_unit_gen,
-            self.on_uniformizer * other.on_uniformizer,
-        )
+        return _CHARS[self[0] * other[0], self[1] * other[1]]
 
 
-TRIVIAL_CHAR = TameQuadChar(1, 1)
+_CHARS = {(u, v): TameQuadChar(u, v) for u in (1, -1) for v in (1, -1)}
+TRIVIAL_CHAR = _CHARS[1, 1]
 
 
 def reduce_to_subfield(x: MuExponent, Q_sub: int) -> int:

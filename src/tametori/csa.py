@@ -11,6 +11,7 @@ mod d.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -28,19 +29,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class CsaParams:
-    """A = M_m(D), deg D = d^2, inv D = h/d with gcd(h, d) = 1, 0 <= h < d."""
+class CsaParams(namedtuple("CsaParams", "m d h")):
+    """A = M_m(D), deg D = d^2, inv D = h/d with gcd(h, d) = 1, 0 <= h < d.
+    A named tuple, hashed and compared in C; it equals the plain tuple of its
+    values, and nothing in the library compares values of two types."""
 
-    m: int
-    d: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise ValueError(f"m={self.m}, d={self.d} must be positive")
-        if not 0 <= self.h < self.d or gcd(self.h, self.d) != 1:
-            raise ValueError(f"h={self.h} invalid for d={self.d}")
+    def __new__(cls, m: int, d: int, h: int):
+        if m < 1 or d < 1:
+            raise ValueError(f"m={m}, d={d} must be positive")
+        if not 0 <= h < d or gcd(h, d) != 1:
+            raise ValueError(f"h={h} invalid for d={d}")
+        return tuple.__new__(cls, (m, d, h))
 
     @property
     def n(self) -> int:

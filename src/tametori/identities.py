@@ -27,7 +27,6 @@ gives sweep's counts without verifying.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import NamedTuple
@@ -123,9 +122,10 @@ class ShapeRow(NamedTuple):
 class FieldPass:
     """The checks of one field's instances, sharing what the algebra does not
     change: per orbit (by default the primary ones, an asymmetric pair once)
-    the symbol and sign characters, evaluated on first need, and per shape a
-    ShapeRow.  A pass lives inside one call and reads iota, the chartools
-    symbols and finmod.v_module as module attributes when it runs."""
+    the symbol and sign characters, evaluated on first need; per shape a
+    ShapeRow; per gating algebra and layer level an epsilon table.  A pass
+    lives inside one call and reads iota, the chartools symbols and
+    finmod.v_module as module attributes when it runs."""
 
     def __init__(self, X: ExtensionModel, orbits: tuple[RootOrbit, ...] | None = None):
         self.X = X
@@ -133,6 +133,7 @@ class FieldPass:
         self.orbits = tuple(primary) if orbits is None else orbits
         self._chars: dict[tuple[int, object], TameQuadChar] = {}
         self._rows: dict[TowerShape, ShapeRow] = {}
+        self._eps: dict[tuple[CsaParams, int], list] = {}
 
     def _char(self, i: int, symbol) -> TameQuadChar:
         """gamma -> symbol(orbit, alpha(gamma)) for orbit i, on zeta_E and pi_E."""
@@ -162,13 +163,21 @@ class FieldPass:
         algebra (the split form or inst.A).  Symmetric ramified orbits give
         gamma -> sign^{v_E(gamma)} with B's Brauer 2-torsion sign, whatever
         the tower; all others give their symbol character when the half-level
-        of their layer lies in ord(alpha) of B's principal order."""
-        o, k = self.orbits[i], row.depths[i]
-        if o.cls is RootClass.SYMMETRIC_RAMIFIED:
-            return TameQuadChar(1, brauer_torsion_sign(B, o.n_pm))
-        if k == -1 or not ord_contains(self.X, B, o, row.levels[k]):
-            return TRIVIAL_CHAR
-        return self._char(i, _symbol)
+        of their layer lies in ord(alpha) of B's principal order.  The table
+        of (B, level a, or -1 at depth -1) is built whole, then stored; it
+        holds each orbit's character, or _symbol for _char to evaluate."""
+        k = row.depths[i]
+        a = -1 if k == -1 else row.levels[k]
+        table = self._eps.get((B, a))
+        if table is None:
+            table = self._eps[B, a] = [
+                TameQuadChar(1, brauer_torsion_sign(B, o.n_pm))
+                if o.cls is RootClass.SYMMETRIC_RAMIFIED
+                else _symbol if a != -1 and ord_contains(self.X, B, o, a) else TRIVIAL_CHAR
+                for o in self.orbits
+            ]
+        eps = table[i]
+        return self._char(i, _symbol) if eps is _symbol else eps
 
     def zeta(self, i: int, row: ShapeRow, inst: Instance) -> TameQuadChar:
         """The zeta-side character of orbit i in inst (row is the row of
@@ -263,9 +272,10 @@ def verify_instance(inst: Instance, field: FieldPass | None = None) -> Report:
     if P.X is not X and P.X.params != X.params:
         raise ValueError(f"the pass is for {P.X.params}, not {X.params}")
     row = P.row(inst.shape)
+    depths, split_eps = row.depths, row.split_eps
     verdicts = tuple(
-        OrbitVerdict(o.ij, o.partner_ij, o.cls, row.depths[i], lhs=P.zeta(i, row, inst),
-                     rhs=row.split_eps[i] * P.epsilon(i, row, A))
+        OrbitVerdict(o.ij, o.partner_ij, o.cls, depths[i], lhs=P.zeta(i, row, inst),
+                     rhs=split_eps[i] * P.epsilon(i, row, A))
         for i, o in enumerate(P.orbits)
     )
     return Report(instance=inst, verdicts=verdicts)
@@ -408,6 +418,7 @@ def sweep(grid: GridSpec, jobs: int = 1) -> SweepSummary:
     params_list = grid_extension_params(grid)
     work = [(grid, p) for p in params_list]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_param, work, chunksize=4))
     else:

@@ -14,7 +14,7 @@ whole layer vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -48,20 +48,18 @@ __all__ = [
 Subgroup = frozenset[GaloisElement]
 
 
-@dataclass(frozen=True)
-class TowerShape:
+class TowerShape(namedtuple("TowerShape", "subgroups levels")):
     """subgroups = (H_0, ..., H_t) with H_t = Gal(L/F); levels = (a_0, ..., a_{t-1}).
 
     Each subgroup is stored as a frozenset; one that already is one is kept
     as is, so the shapes of one chain share their subgroups and the hash each
-    frozenset caches.
+    frozenset caches.  A named tuple, hashed and compared in C (see csa.CsaParams).
     """
 
-    subgroups: tuple[Subgroup, ...]
-    levels: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "subgroups", tuple(map(frozenset, self.subgroups)))
+    def __new__(cls, subgroups, levels):
+        return tuple.__new__(cls, (tuple(map(frozenset, subgroups)), levels))
 
     @property
     def t(self) -> int:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import count
+
 import pytest
 
 from tametori.identities import GridSpec
-from tametori.localfield import ExtensionParams, build_extension
+from tametori.localfield import ExtensionParams, build_extension, radical_prime
 from tametori.tower import TowerShape, interval_subgroups, validate_shape
+
+from oracles import GF
 
 # The main verification universe: every tame (e, f) with e*f <= 8 over small
 # odd residue cardinalities, w = 0 plus two sampled nonzero presentations,
@@ -23,6 +28,13 @@ ACCEPT_GRID = GridSpec(
 
 def model(q, e, f, w=0):
     return build_extension(ExtensionParams(q, e, f, w))
+
+
+@cache
+def real_field(Q):
+    """oracles.GF with Q elements, built once per size."""
+    p = radical_prime(Q)
+    return GF(p, next(k for k in count(1) if p**k == Q))
 
 
 def shape_t0(X) -> TowerShape:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cache
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +18,7 @@ from tametori.chartools import (
 )
 from tametori.errors import NotInSubfield, NotNormOne
 
-from oracles import GF
+from conftest import real_field
 
 
 def test_mu_exponent_normalizes():
@@ -210,18 +208,13 @@ GF_EVEN = [(p, k) for p, k in GF_FIELDS if k % 2 == 0]
 GF_IDS = [f"{p}^{k}" for p, k in GF_FIELDS]
 
 
-@cache
-def real_field(p, k):
-    return GF(p, k)
-
-
 def subfield_sizes(p, k):
     return [p**d for d in range(1, k + 1) if k % d == 0]
 
 
 @pytest.mark.parametrize("p,k", GF_FIELDS, ids=GF_IDS)
 def test_real_field_oracle_is_cyclic(p, k):
-    F = real_field(p, k)
+    F = real_field(p**k)
     assert len(F.modulus) == k + 1
     assert sorted(F.pw) == list(range(1, F.Q))
     assert F.mul(F.g, F.pw[-1]) == 1
@@ -231,7 +224,7 @@ def test_real_field_oracle_is_cyclic(p, k):
 def test_legendre_kx_against_euler_criterion(p, k):
     """On every subfield k_sub, x is a square iff x^{(Q_sub-1)/2} = 1 (the
     other value is -1, the constant p - 1)."""
-    F = real_field(p, k)
+    F = real_field(p**k)
     for Q_sub in subfield_sizes(p, k):
         for j, x in enumerate(F.pw):
             if F.pow(x, Q_sub) != x:
@@ -246,7 +239,7 @@ def test_reduce_to_subfield_against_frobenius(p, k):
     """x lies in the subfield with Q_sub elements iff x^{Q_sub} = x, and its
     reduced exponent r then satisfies x = h^r for the generator
     h = g^{(Q-1)/(Q_sub-1)} of that subfield's mu."""
-    F = real_field(p, k)
+    F = real_field(p**k)
     n = F.Q - 1
     for Q_sub in subfield_sizes(p, k):
         h = F.pow(F.g, n // (Q_sub - 1))
@@ -262,7 +255,7 @@ def test_reduce_to_subfield_against_frobenius(p, k):
 def test_legendre_k1_against_real_norm(p, k):
     """k^1 is the kernel of the norm x -> x^{q_pm+1} to the subfield with
     q_pm elements; on it the symbol is +1 exactly on the squares of k^1."""
-    F = real_field(p, k)
+    F = real_field(p**k)
     q_pm = p ** (k // 2)
     norm_one = {x for x in F.pw if F.pow(x, q_pm + 1) == 1}
     assert len(norm_one) == q_pm + 1
@@ -278,6 +271,6 @@ def test_legendre_k1_against_real_norm(p, k):
 
 @pytest.mark.parametrize("p,k", GF_FIELDS, ids=GF_IDS)
 def test_perm_sign_against_real_multiplication(p, k):
-    F = real_field(p, k)
+    F = real_field(p**k)
     for j, a in enumerate(F.pw):
         assert perm_sign(F.Q, MuExponent(j, F.Q - 1)) == F.mul_sign(a)

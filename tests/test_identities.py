@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from tametori.chartools import TRIVIAL_CHAR, TameQuadChar
 from tametori.csa import CsaParams, split_algebra
-from tametori.errors import IotaIncoherence, NotSymmetric
+from tametori.errors import IotaIncoherence, NotSymmetric, NotTwoTorsion
 from tametori.identities import (
     FAILURE_COLUMNS,
     FieldPass,
@@ -29,10 +33,10 @@ from tametori.identities import (
     zeta_restricted,
 )
 from tametori.localfield import ExtensionParams, build_extension
-from tametori.roots import RootClass, enumerate_orbits, orbit_by_label
+from tametori.roots import RootClass, enumerate_orbits, orbit_by_label, ord_contains
 from tametori.tower import enumerate_shapes, parse_selector
 
-from conftest import model, shape_from_bottoms, shape_t0
+from conftest import model, real_field, shape_from_bottoms, shape_t0
 
 
 def make_instance(qefw, mdh, bottoms, levels):
@@ -213,6 +217,20 @@ def test_strict_admissible_skips():
     assert plan(wide).skipped_nonstrict == 253
 
 
+def test_import_loads_no_process_pool():
+    """Only sweep(jobs > 1) needs concurrent.futures, so importing the
+    package and its CLI loads neither it nor multiprocessing."""
+    import tametori
+
+    src = str(Path(tametori.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, tametori, tametori.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_sweep_jobs_deterministic():
     grid = GridSpec(q_list=(3,), n_max=4, w_extra=1, w_seed=7, t_max=1, a_max=3)
     seq = sweep(grid, jobs=1)
@@ -365,18 +383,29 @@ BUDGET_GRID = GridSpec((3, 5), n_max=4, w_extra=1, t_max=2, a_max=4)
 
 def test_field_pass_call_budget(monkeypatch):
     """One pass per field: at most two root values per character and two
-    characters per primary orbit, and one depth lookup from identities per
-    (shape, primary orbit), however many algebras share the field."""
+    characters per primary orbit; one depth lookup from identities per
+    (shape, primary orbit), however many algebras share the field; the
+    epsilon gate, ord_contains or brauer_torsion_sign, at most once per
+    (gating algebra, level, primary orbit), depth -1 counting as a level;
+    and finmod.v_module exactly once per (instance, primary orbit) plus once
+    per (shape, primary orbit) for the split form, so criterion 9's patch of
+    it reaches every instance."""
+    import tametori.finmod as fm
     import tametori.identities as ident
     import tametori.tower as tw
 
-    orbits = depth_budget = 0
+    orbits = depth_budget = gate_budget = modules = 0
     for params in grid_extension_params(BUDGET_GRID):
         X = build_extension(params)
         primary = sum(o.symmetric or o.ij < o.partner_ij for o in enumerate_orbits(X))
+        shapes = len(enumerate_shapes(X, BUDGET_GRID.t_max, BUDGET_GRID.a_max))
+        algebras = len(grid_algebras(X.n))  # the split form among them
         orbits += primary
-        depth_budget += len(enumerate_shapes(X, BUDGET_GRID.t_max, BUDGET_GRID.a_max)) * primary
-    calls = {"root_eval": 0, "depth_index": 0}
+        depth_budget += shapes * primary
+        gate_budget += algebras * (BUDGET_GRID.a_max + 1) * primary
+        modules += shapes * (algebras + 1) * primary
+    calls = dict.fromkeys(["root_eval", "depth_index", "brauer_torsion_sign", "v_module"], 0)
+    gates = []
 
     def count(module, name):
         real = getattr(module, name)
@@ -389,9 +418,109 @@ def test_field_pass_call_budget(monkeypatch):
 
     count(ident, "root_eval")
     count(tw, "depth_index")
+    count(ident, "brauer_torsion_sign")
+    count(fm, "v_module")
+    real_ord = ident.ord_contains
+
+    def recorded_ord(X, B, o, a):
+        gates.append((X.params, B, o.ij, a))
+        return real_ord(X, B, o, a)
+
+    monkeypatch.setattr(ident, "ord_contains", recorded_ord)
     assert sweep(BUDGET_GRID).failures == ()
     assert 0 < calls["root_eval"] <= 4 * orbits
     assert 0 < calls["depth_index"] <= depth_budget
+    assert len(set(gates)) == len(gates) > 0
+    assert 0 < calls["brauer_torsion_sign"] and len(gates) + calls["brauer_torsion_sign"] <= gate_budget
+    assert calls["v_module"] == modules
+
+
+def test_table_build_error_gives_error_rows(monkeypatch):
+    """A NotTwoTorsion raised while the epsilon table of one algebra is built
+    gives one error row per instance of that algebra on a field with a
+    symmetric ramified orbit, as when the sign was read orbit by orbit.  A
+    half-built table is not kept, so the next instance raises the same error,
+    not an IndexError, and every other instance is still checked."""
+    import tametori.identities as ident
+
+    grid = GridSpec((3, 5), n_max=4, w_extra=1, t_max=1, a_max=2)
+    target, real = CsaParams(2, 2, 1), ident.brauer_torsion_sign
+    clean = sweep(grid)
+    expected, lost = [], 0
+    for params in grid_extension_params(grid):
+        X = build_extension(params)
+        if X.n != target.n or all(o.cls is not RootClass.SYMMETRIC_RAMIFIED
+                                  for o in enumerate_orbits(X)):
+            continue
+        for shape in enumerate_shapes(X, grid.t_max, grid.a_max):
+            inst = Instance(X, target, shape)
+            expected.append(error_row(inst, NotTwoTorsion("forced")))
+            lost += len(verify_instance(inst).verdicts)
+
+    def refuse(B, n_alpha):
+        if B == target:
+            raise NotTwoTorsion("forced")
+        return real(B, n_alpha)
+
+    monkeypatch.setattr(ident, "brauer_torsion_sign", refuse)
+    summary = sweep(grid)
+    assert len(expected) > 1 and summary.failures == tuple(expected)
+    assert summary.instances == clean.instances
+    assert summary.orbits_checked == clean.orbits_checked - lost
+
+
+# Fields with more than 729 elements are skipped (oracles.GF works digit by digit).
+REAL_EPS_GRID = GridSpec((3, 5, 7, 9), n_max=4, w_extra=2, w_seed=11, t_max=2, a_max=3)
+
+
+def test_epsilon_symbols_against_real_field():
+    """Every symbol character FieldPass.epsilon gives on the fields of
+    REAL_EPS_GRID with Q <= 729, recomputed in real GF(Q) with the oracle's g
+    as zeta.  alpha(zeta_E) = zeta_E / zeta_E^{q^c} and alpha(pi_E) = zeta^{-a}
+    lie in GF(Q_alpha).  The symbol is Euler's criterion: x^{(Q_alpha - 1)/2}
+    on k_alpha^x for an asymmetric orbit, x^{(q_pm + 1)/2} on k^1 (where
+    x^{q_pm + 1} = 1) for a symmetric unramified one."""
+    checked = dict.fromkeys(RootClass, 0)
+    fields = 0
+    for params in grid_extension_params(REAL_EPS_GRID):
+        X = build_extension(params)
+        if X.Q > 729:
+            continue
+        F, fields = real_field(X.Q), fields + 1
+        zeta_E = F.pow(F.g, X.u_E)
+
+        def inv(x):
+            return F.pow(x, F.Q - 2)
+
+        def euler(o, x):
+            assert F.pow(x, o.Q_alpha) == x  # x lies in GF(Q_alpha)
+            if o.cls is RootClass.ASYMMETRIC:
+                s = F.pow(x, (o.Q_alpha - 1) // 2)
+            else:
+                assert F.pow(x, o.q_pm + 1) == 1  # x lies in k^1
+                s = F.pow(x, (o.q_pm + 1) // 2)
+            assert s in (1, F.p - 1)  # 1 or -1 in GF(Q)
+            return 1 if s == 1 else -1
+
+        P = FieldPass(X)
+        real = {
+            i: TameQuadChar(
+                euler(o, F.mul(zeta_E, inv(F.pow(zeta_E, X.q**o.rep.c)))),
+                euler(o, inv(F.pow(F.g, o.rep.a))),
+            )
+            for i, o in enumerate(P.orbits)
+            if o.cls is not RootClass.SYMMETRIC_RAMIFIED
+        }
+        for shape in enumerate_shapes(X, REAL_EPS_GRID.t_max, REAL_EPS_GRID.a_max):
+            row = P.row(shape)
+            for B in grid_algebras(X.n):  # every algebra gates, the split form too
+                for i, k in enumerate(row.depths):
+                    o = P.orbits[i]
+                    if i in real and k != -1 and ord_contains(X, B, o, shape.levels[k]):
+                        assert P.epsilon(i, row, B) == real[i], (params, B, shape.levels, o.ij)
+                        checked[o.cls] += 1
+    assert fields > 10
+    assert checked[RootClass.ASYMMETRIC] > 0 and checked[RootClass.SYMMETRIC_UNRAMIFIED] > 0
 
 
 def test_shared_pass_matches_fresh_pass():

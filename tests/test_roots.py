@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from tametori.localfield import (
     compose,
     enumerate_group,
     inverse,
-    radical_prime,
 )
 from tametori.roots import (
     RootClass,
@@ -31,8 +28,8 @@ from tametori.roots import (
     root_eval,
 )
 
-from conftest import ACCEPT_GRID, model
-from oracles import GF, CriterionViolation, classify_by_criterion, classify_elementwise
+from conftest import ACCEPT_GRID, model, real_field
+from oracles import CriterionViolation, classify_by_criterion, classify_elementwise
 
 MODELS = [
     (3, 1, 2, 0),
@@ -275,12 +272,6 @@ REAL_FIELDS = [
     (9, 4, 1, 2),
     (11, 3, 2, 3),
 ]
-
-
-@cache
-def real_field(Q):
-    p = radical_prime(Q)
-    return GF(p, next(k for k in count(1) if p**k == Q))
 
 
 @pytest.mark.parametrize("params", REAL_FIELDS)
