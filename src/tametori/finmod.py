@@ -48,7 +48,7 @@ def v_module(
     """Class of the depth-layer module at the coset of g: Zero at depth -1
     (nothing survives below the first jump), else U exactly when the layer
     parity is even and j == h j_k (mod e(A/O_E))."""
-    k = depth_index(X, shape, g)
+    k = depth_index(shape, g)
     if k == -1:
         return ModuleClass.ZERO
     j_k = jump_data(X, A, shape, k)

@@ -149,7 +149,7 @@ class FieldPass:
         if row is None:
             X, S = self.X, split_algebra(self.X.n)
             row = ShapeRow(
-                [tower.depth_index(X, shape, o.rep) for o in self.orbits],
+                [tower.depth_index(shape, o.rep) for o in self.orbits],
                 shape.levels,
                 [finmod.v_module(X, S, shape, o.rep) for o in self.orbits],
                 [],
@@ -391,7 +391,7 @@ def _field_shapes(grid: GridSpec, params: ExtensionParams):
     shapes = tower.enumerate_shapes(X, grid.t_max, grid.a_max)
     algebras = grid_algebras(X.n)
     strict = grid.strict_admissible
-    kept = [s for s in shapes if not strict or inertia_order(X, s.subgroups[0]) == 1]
+    kept = [s for s in shapes if not strict or inertia_order(s.subgroups[0]) == 1]
     return X, kept, algebras, (len(shapes) - len(kept)) * len(algebras)
 
 

@@ -79,12 +79,17 @@ class ExtensionParams:
 class ExtensionModel:
     """Derived data of the splitting field L and the group Gal(L/F).
 
-    M = Q - 1 is the order of mu_L.  sigma generates inertia, phi lifts the
-    residue Frobenius, and gamma_E is the subgroup Gal(L/E).  qpow[c] = q^c mod M
-    and spow[j] = 1 + q + ... + q^{j-1} are lookup tables used everywhere.
+    q, e, f, w are the presentation; params rebuilds it, and the model hashes
+    as it does.  M = Q - 1 is the order of mu_L.  sigma generates inertia, phi
+    lifts the residue Frobenius, and gamma_E is the subgroup Gal(L/E).
+    qpow[c] = q^c mod M and spow[j] = 1 + q + ... + q^{j-1} are lookup tables
+    used everywhere.
     """
 
-    params: ExtensionParams
+    q: int
+    e: int
+    f: int
+    w: int
     n: int
     f_L: int
     Q: int
@@ -105,20 +110,8 @@ class ExtensionModel:
         return self._hash
 
     @property
-    def q(self) -> int:
-        return self.params.q
-
-    @property
-    def e(self) -> int:
-        return self.params.e
-
-    @property
-    def f(self) -> int:
-        return self.params.f
-
-    @property
-    def w(self) -> int:
-        return self.params.w
+    def params(self) -> ExtensionParams:
+        return ExtensionParams(self.q, self.e, self.f, self.w)
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +158,10 @@ def build_extension(params: ExtensionParams) -> ExtensionModel:
     phi = GaloisElement((w_e * (q - 1)) % M, 1 % f_L)
     gamma_E = frozenset(GaloisElement(0, c) for c in range(0, f_L, f))
     return ExtensionModel(
-        params=params,
+        q=q,
+        e=e,
+        f=f,
+        w=w,
         n=e * f,
         f_L=f_L,
         Q=Q,
@@ -190,7 +186,6 @@ def inverse(X: ExtensionModel, g: GaloisElement) -> GaloisElement:
     return GaloisElement((-g.a * X.qpow[c]) % X.M, c)
 
 
-@lru_cache(maxsize=None)
 def enumerate_group(X: ExtensionModel) -> tuple[GaloisElement, ...]:
     """All of Gal(L/F): per Frobenius power c, the e solutions a of the
     uniformizer constraint e*a == (q^c - 1) * w_L (mod Q-1)."""
@@ -206,8 +201,8 @@ def enumerate_group(X: ExtensionModel) -> tuple[GaloisElement, ...]:
     return tuple(sorted(out))
 
 
-def inertia_order(X: ExtensionModel, H) -> int:
-    """Order of the inertia subgroup of H (elements acting trivially on mu_L)."""
+def inertia_order(H) -> int:
+    """Order of the inertia subgroup of H: its elements (a, 0), trivial on mu_L."""
     return sum(1 for g in H if g.c == 0)
 
 
@@ -268,7 +263,7 @@ def subfield_invariants(X: ExtensionModel, H) -> tuple[int, int]:
     H = frozenset(H)
     if not is_subgroup(X, H):
         raise NotASubgroup(f"{sorted(H)!r} is not closed")
-    i = inertia_order(X, H)
+    i = inertia_order(H)
     if X.e % i or (X.f_L * i) % len(H):
         raise NotASubgroup(f"inertia {i} incompatible with {sorted(H)!r}")
     return X.e // i, (X.f_L * i) // len(H)

@@ -8,6 +8,8 @@ residue data of the fields F_alpha = E.g(E) and F_{+-alpha}.  The class has
 one route, through stabilizers: an orbit is symmetric when some x sends alpha
 to -alpha, and symmetric ramified when F_alpha/F_{+-alpha} is ramified.  The
 tests compare it with the label criterion and with the materialized coset.
+enumerate_orbits is the one list of a field's orbits; a lookup by label, or
+the same orbit presented by another label, is a test helper.
 
 j = c mod f is constant on a double coset and the pi_E-exponent a transforms
 by unit multiples q^c under coset moves, which is what makes the classification
@@ -16,7 +18,7 @@ and all downstream characters representative-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -38,8 +40,6 @@ __all__ = [
     "left_coset_label",
     "double_coset_labels",
     "enumerate_orbits",
-    "orbit_by_label",
-    "orbit_with_rep",
     "root_eval",
     "ord_contains",
 ]
@@ -166,20 +166,6 @@ def enumerate_orbits(X: ExtensionModel) -> tuple[RootOrbit, ...]:
             seen.update(labels)
             orbits.append(_build_orbit(X, labels))
     return tuple(sorted(orbits, key=lambda o: o.ij))
-
-
-def orbit_by_label(X: ExtensionModel, ij: tuple[int, int]) -> RootOrbit:
-    for orbit in enumerate_orbits(X):
-        if ij in orbit.labels:
-            return orbit
-    raise KeyError(f"{ij} labels the trivial coset")
-
-
-def orbit_with_rep(X: ExtensionModel, orbit: RootOrbit, ij: tuple[int, int]) -> RootOrbit:
-    """The same orbit presented by an alternative left-coset label."""
-    if ij not in orbit.labels:
-        raise KeyError(f"{ij} is not a label of orbit {orbit.ij}")
-    return replace(orbit, rep=coset_element(X, *ij), ij=ij)
 
 
 def root_eval(X: ExtensionModel, orbit: RootOrbit, u: int, v: int) -> MuExponent:

@@ -6,7 +6,8 @@ together with levels 0 < a_0 < ... < a_{t-1}.  For t >= 1 the bottom step must
 keep E/E_0 unramified (its inertia is trivial); a t = 0 shape is the bare
 chain [Gal(L/F)] and every root has depth -1 there.
 
-depth_index places a double coset in the unique layer H_{k+1} - H_k it meets;
+depth_index(shape, g) places the double coset of g in the unique layer
+H_{k+1} - H_k it meets, from the shape alone, so its cache key holds no model;
 jump_data gives the layer-k graded index j_k = a_k * e(A/O_E) / 2 used by the
 finite-module criteria, or None when a_k * e(A_{k+1}/O_E) is odd and the
 whole layer vanishes.
@@ -85,7 +86,7 @@ def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
             raise NotASubgroup(f"{sorted(H)!r} does not contain Gal(L/E)")
     if len(subs[-1]) != X.e * X.f_L:
         raise NotASubgroup("top of the chain must be all of Gal(L/F)")
-    if shape.t >= 1 and inertia_order(X, subs[0]) != 1:
+    if shape.t >= 1 and inertia_order(subs[0]) != 1:
         raise UnramifiedViolation("E/E_0 must be unramified (trivial inertia)")
     for k, (low, high) in enumerate(zip(subs, subs[1:])):
         if not low < high:
@@ -97,7 +98,6 @@ def validate_shape(X: ExtensionModel, shape: TowerShape) -> None:
         raise NonIncreasingLevels(f"levels {shape.levels} must strictly increase")
 
 
-@lru_cache(maxsize=None)
 def enumerate_shapes(
     X: ExtensionModel, max_t: int, max_level: int
 ) -> tuple[TowerShape, ...]:
@@ -125,7 +125,7 @@ def enumerate_shapes(
                     grow(chain + (H,))
 
         for H0 in proper:
-            if inertia_order(X, H0) == 1:
+            if inertia_order(H0) == 1:
                 grow((H0,))
         for chain in chains:
             chain_shapes = [
@@ -141,7 +141,7 @@ def enumerate_shapes(
 
 
 @lru_cache(maxsize=None)
-def depth_index(X: ExtensionModel, shape: TowerShape, g: GaloisElement) -> int:
+def depth_index(shape: TowerShape, g: GaloisElement) -> int:
     """-1 if g lies in H_0, else the unique k with g in H_{k+1} - H_k.
 
     Constant on double cosets and under inversion, because every H_k contains

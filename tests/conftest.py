@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache
 from itertools import count
 
@@ -9,6 +10,7 @@ import pytest
 
 from tametori.identities import GridSpec
 from tametori.localfield import ExtensionParams, build_extension, radical_prime
+from tametori.roots import RootOrbit, coset_element, enumerate_orbits
 from tametori.tower import TowerShape, interval_subgroups, validate_shape
 
 from oracles import GF
@@ -35,6 +37,21 @@ def real_field(Q):
     """oracles.GF with Q elements, built once per size."""
     p = radical_prime(Q)
     return GF(p, next(k for k in count(1) if p**k == Q))
+
+
+def orbit_by_label(X, ij: tuple[int, int]) -> RootOrbit:
+    """The orbit of X whose double coset holds the left coset labelled ij."""
+    for orbit in enumerate_orbits(X):
+        if ij in orbit.labels:
+            return orbit
+    raise KeyError(f"{ij} labels the trivial coset")
+
+
+def orbit_with_rep(X, orbit: RootOrbit, ij: tuple[int, int]) -> RootOrbit:
+    """The same orbit presented by an alternative left-coset label."""
+    if ij not in orbit.labels:
+        raise KeyError(f"{ij} is not a label of orbit {orbit.ij}")
+    return replace(orbit, rep=coset_element(X, *ij), ij=ij)
 
 
 def shape_t0(X) -> TowerShape:

@@ -96,7 +96,7 @@ def v_layer(
         sorted(
             o.ij
             for o in enumerate_orbits(X)
-            if depth_index(X, shape, o.rep) == k
+            if depth_index(shape, o.rep) == k
             and v_module(X, A, shape, o.rep) is ModuleClass.U
         )
     )

@@ -43,13 +43,11 @@ from tametori.localfield import ExtensionParams, build_extension, radical_prime
 from tametori.roots import (
     RootClass,
     enumerate_orbits,
-    orbit_by_label,
-    orbit_with_rep,
     ord_contains,
 )
 from tametori.tower import TowerShape, depth_index, enumerate_shapes, interval_subgroups
 
-from conftest import ACCEPT_GRID, model, shape_t0
+from conftest import ACCEPT_GRID, model, orbit_by_label, orbit_with_rep, shape_t0
 from oracles import classify_by_criterion, graded_piece, symp_iso_criterion
 
 
@@ -81,7 +79,7 @@ def grid_scan():
                 inst = Instance(X, A, shape)
                 for o in orbits:
                     where = (params, (A.m, A.d, A.h), shape.levels, o.ij)
-                    k = depth_index(X, shape, o.rep)
+                    k = depth_index(shape, o.rep)
                     nonzero = v_module(X, A, shape, o.rep) is not ModuleClass.ZERO
                     if k == -1:
                         in_ord = False

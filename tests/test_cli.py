@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +119,33 @@ def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+README_VERIFY = ("verify", "--q", "3", "--e", "1", "--f", "2",
+                 "--m", "1", "--d", "2", "--h", "1", "--tower", "E", "--levels", "1")
+
+
+def run_python(flags, *argv):
+    """The CLI in a fresh interpreter started with flags (for example -O)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "tametori.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_invariants_hold_under_python_O():
+    """python -O strips assert statements; the checks are typed errors, so the
+    README's verify example prints the same bytes and exit code, and a
+    dimension mismatch on that field still exits 2."""
+    plain, opt = (run_python(flags, *README_VERIFY) for flags in ((), ("-O",)))
+    assert plain.stdout and (opt.stdout, opt.returncode) == (plain.stdout, plain.returncode)
+    bad = list(README_VERIFY)
+    bad[bad.index("--m") + 1] = "2"
+    mismatch = run_python(("-O",), *bad)
+    assert mismatch.returncode == 2
+    assert mismatch.stderr.startswith("error: DimensionMismatch:")
 
 
 def test_identity_failure_exits_1(capsys, monkeypatch):

@@ -8,10 +8,10 @@ from tametori.csa import CsaParams, order_invariants, split_algebra
 from tametori.errors import NotSymmetric
 from tametori.finmod import ModuleClass, symp_iso_direct, u_dim, v_module
 from tametori.localfield import inverse
-from tametori.roots import enumerate_orbits, orbit_by_label
+from tametori.roots import enumerate_orbits
 from tametori.tower import TowerShape, enumerate_shapes, interval_subgroups
 
-from conftest import model, shape_from_bottoms, shape_t0
+from conftest import model, orbit_by_label, shape_from_bottoms, shape_t0
 from oracles import graded_piece, symp_iso_criterion, v_layer
 
 
@@ -176,7 +176,7 @@ def test_symp_routes_agree_at_positive_depth(qefw, mdh):
         for o in enumerate_orbits(X):
             if not o.symmetric:
                 continue
-            if depth_index(X, shape, o.rep) == -1:
+            if depth_index(shape, o.rep) == -1:
                 assert symp_iso_direct(X, A, shape, o) is True
             else:
                 assert symp_iso_direct(X, A, shape, o) == symp_iso_criterion(X, A, o)

@@ -33,10 +33,10 @@ from tametori.identities import (
     zeta_restricted,
 )
 from tametori.localfield import ExtensionParams, build_extension
-from tametori.roots import RootClass, enumerate_orbits, orbit_by_label, ord_contains
+from tametori.roots import RootClass, enumerate_orbits, ord_contains
 from tametori.tower import enumerate_shapes, parse_selector
 
-from conftest import model, real_field, shape_from_bottoms, shape_t0
+from conftest import model, orbit_by_label, real_field, shape_from_bottoms, shape_t0
 
 
 def make_instance(qefw, mdh, bottoms, levels):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,7 +166,7 @@ def test_sigma_phi_orders(params):
     X = build_extension(params)
     assert power(X, X.sigma, X.e) == GaloisElement(0, 0)
     assert power(X, X.phi, X.f_L).c == 0
-    assert inertia_order(X, enumerate_group(X)) == X.e
+    assert inertia_order(enumerate_group(X)) == X.e
 
 
 def test_subfield_invariants_examples():
@@ -387,7 +389,9 @@ def test_galois_element_order_and_repr():
 
 def test_rebuilt_model_equals_and_hashes_like_the_cached_one():
     """The model's hash is hash(params), computed once; a model rebuilt after
-    the cache is cleared must find every cache entry keyed on the old one."""
+    the cache is cleared must find every cache entry keyed on the old one.
+    The model stores q, e, f, w as fields; params is rebuilt from them and
+    interns back to the same model."""
     params = ExtensionParams(5, 2, 2, 3)
     old = build_extension(params)
     build_extension.cache_clear()
@@ -395,6 +399,9 @@ def test_rebuilt_model_equals_and_hashes_like_the_cached_one():
     assert new is not old
     assert new == old and hash(new) == hash(old) == hash(params)
     assert build_extension(ExtensionParams(5, 2, 2, 1)) != old
+    assert new.params == ExtensionParams(new.q, new.e, new.f, new.w) == params
+    assert build_extension(new.params) is new
+    assert "params" not in [f.name for f in dataclasses.fields(new)]
 
 
 def test_model_pickle_roundtrip():

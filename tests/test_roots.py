@@ -22,13 +22,11 @@ from tametori.roots import (
     double_coset_labels,
     enumerate_orbits,
     left_coset_label,
-    orbit_by_label,
-    orbit_with_rep,
     ord_contains,
     root_eval,
 )
 
-from conftest import ACCEPT_GRID, model, real_field
+from conftest import ACCEPT_GRID, model, orbit_by_label, orbit_with_rep, real_field
 from oracles import CriterionViolation, classify_by_criterion, classify_elementwise
 
 MODELS = [

@@ -128,3 +128,84 @@ def test_identities_keeps_no_state_across_calls():
         )
     ]
     assert not state, f"identities.py holds module-level containers at lines {state}"
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC}
+
+
+def test_every_parameter_is_read():
+    """A function reads every parameter it takes (self and cls aside), so no
+    caller passes a value that nothing looks at."""
+    unread = []
+    for stem, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{stem}.{name}({p})" for p in params if p not in ("self", "cls", *read)
+            ]
+    assert not unread, f"parameters never read: {unread}"
+
+
+# Top-level public names that no function or class of the package uses and
+# tametori.__all__ does not export, each with the reason it stays.
+KEPT = {
+    "cli.main": "the console script's entry point",
+    "chartools.perm_sign_bruteforce": "perfbench symbol-scan oracle; leaves with ROADMAP item 1",
+    "finmod.symp_iso_direct": "perfbench trace target; leaves with ROADMAP item 1",
+    "identities.nu_zeta_total": "perfbench trace target; leaves with ROADMAP item 1",
+    "identities.epsilon_total": "perfbench trace target; leaves with ROADMAP item 1",
+    "identities.epsilon_alpha": "public one-orbit entry point over FieldPass (README)",
+    "identities.zeta_restricted": "public one-orbit entry point over FieldPass (README)",
+}
+
+
+def _library_uses():
+    """(top-level public names, names that some other top-level function or
+    class of the package reads, by bare name or as an attribute)."""
+    defined, used = [], set()
+    for stem, tree in _trees().items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not top.name.startswith("_"):
+                defined.append((stem, top.name))
+            used.update(
+                name
+                for n in ast.walk(top)
+                for name in (
+                    n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) else None,
+                    n.attr if isinstance(n, ast.Attribute) else None,
+                )
+                if name is not None and name != top.name
+            )
+    return defined, used
+
+
+def test_every_public_name_has_a_library_use():
+    """Each top-level public function or class has a caller in the package,
+    is exported by tametori.__all__, or is listed in KEPT with its reason; a
+    KEPT name that gains a caller or an export fails too, so KEPT stays exact."""
+    exported = set(importlib.import_module("tametori").__all__)
+    defined, used = _library_uses()
+    unused = {
+        f"{stem}.{name}"
+        for stem, name in defined
+        if name not in used and name not in exported
+    }
+    assert unused == set(KEPT), (
+        f"no library use and not in KEPT: {sorted(unused - set(KEPT))}; "
+        f"in KEPT but used, exported or gone: {sorted(set(KEPT) - unused)}"
+    )

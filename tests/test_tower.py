@@ -121,14 +121,14 @@ def test_enumerate_shapes_skips_ramified_bottoms():
     shapes = enumerate_shapes(X, 1, 1)
     for s in shapes:
         if s.t >= 1:
-            assert inertia_order(X, s.subgroups[0]) == 1
+            assert inertia_order(s.subgroups[0]) == 1
 
 
 def test_depth_t0_is_minus_one():
     X = model(5, 2, 2)
     shape = shape_t0(X)
     for g in enumerate_group(X):
-        assert depth_index(X, shape, g) == -1
+        assert depth_index(shape, g) == -1
 
 
 def test_depth_frozen_3_1_4():
@@ -138,10 +138,10 @@ def test_depth_frozen_3_1_4():
     # phi and phi^3 lie outside the order-2 subgroup: depth 1;
     # phi^2 lies in it but not in Gal(L/E): depth 0
     by_c = {g.c: g for g in enumerate_group(X)}
-    assert depth_index(X, shape, by_c[0]) == -1
-    assert depth_index(X, shape, by_c[1]) == 1
-    assert depth_index(X, shape, by_c[2]) == 0
-    assert depth_index(X, shape, by_c[3]) == 1
+    assert depth_index(shape, by_c[0]) == -1
+    assert depth_index(shape, by_c[1]) == 1
+    assert depth_index(shape, by_c[2]) == 0
+    assert depth_index(shape, by_c[3]) == 1
 
 
 def test_depth_constant_on_double_cosets_and_inverse():
@@ -149,12 +149,12 @@ def test_depth_constant_on_double_cosets_and_inverse():
         X = model(*params)
         for shape in enumerate_shapes(X, 2, 2):
             for o in enumerate_orbits(X):
-                d = depth_index(X, shape, o.rep)
-                assert depth_index(X, shape, inverse(X, o.rep)) == d
+                d = depth_index(shape, o.rep)
+                assert depth_index(shape, inverse(X, o.rep)) == d
                 for i, j in o.labels:
                     from tametori.roots import coset_element
 
-                    assert depth_index(X, shape, coset_element(X, i, j)) == d
+                    assert depth_index(shape, coset_element(X, i, j)) == d
 
 
 def e_next(X, A, shape, k):
@@ -249,7 +249,7 @@ def test_depth_layers_partition_group():
     for shape in enumerate_shapes(X, 2, 3):
         counts = {}
         for g in enumerate_group(X):
-            d = depth_index(X, shape, g)
+            d = depth_index(shape, g)
             assert -1 <= d < max(shape.t, 1)
             counts[d] = counts.get(d, 0) + 1
         assert sum(counts.values()) == X.e * X.f_L
@@ -270,12 +270,30 @@ def test_equal_shapes_share_hash_and_depth_cache_entry():
         assert hash(twin) == hash(shape)
         assert all(type(H) is frozenset for H in twin.subgroups)
         assert twin.subgroups == shape.subgroups
-        depth_index(X, shape, g)
+        depth_index(shape, g)
         before = depth_index.cache_info()
-        assert depth_index(X, twin, g) == depth_index(X, shape, g)
+        assert depth_index(twin, g) == depth_index(shape, g)
         after = depth_index.cache_info()
         assert after.currsize == before.currsize
         assert after.hits == before.hits + 2
+
+
+def test_depth_cache_entry_is_shared_by_a_rebuilt_model():
+    """depth_index is keyed on (shape, g) alone: the equal shape of a model
+    rebuilt after build_extension.cache_clear() finds the same entry."""
+    X = model(3, 1, 4)
+    shape = enumerate_shapes(X, 2, 3)[-1]
+    g = enumerate_orbits(X)[0].rep
+    d = depth_index(shape, g)
+    build_extension.cache_clear()
+    Y = model(3, 1, 4)
+    twin = enumerate_shapes(Y, 2, 3)[-1]
+    assert Y is not X and twin == shape
+    before = depth_index.cache_info()
+    assert depth_index(twin, g) == d
+    after = depth_index.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 1
 
 
 def test_library_subgroups_are_frozensets():
@@ -354,7 +372,7 @@ def test_enumerate_shapes_validates_once_per_chain(monkeypatch):
         tw, "validate_shape", lambda X, shape: calls.append(shape) or real(X, shape)
     )
     X = model(3, 1, 4)
-    shapes = tw.enumerate_shapes.__wrapped__(X, 2, 5)  # uncached
+    shapes = tw.enumerate_shapes(X, 2, 5)  # uncached
     chains = {s.subgroups for s in shapes}
     assert len(shapes) > len(chains)
     assert len(calls) == len(chains)
